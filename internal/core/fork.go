@@ -151,6 +151,12 @@ func (rt *Runtime) Fork(eng *sim.Engine, cfg Config) *Runtime {
 	}
 	child.m.Policy = cfg.Policy.String()
 	child.mover = xfer.NewEngine(eng, child.hostLink, cfg.Transfer)
+	if child.nextOcc != nil {
+		// The Tier-1 victim heap continues the cloned clock's residents;
+		// Tier-2 starts empty, as the store does.
+		child.oracleT1 = rt.oracleT1.clone()
+		child.oracleT2.reset(cfg.Tier2Pages)
+	}
 	if cfg.Policy == PolicyReuse {
 		// samePrefixClass guarantees the parent is Reuse too, so its
 		// sampler carries exactly the observations a monolithic run

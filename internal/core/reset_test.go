@@ -3,16 +3,28 @@ package core
 import (
 	"testing"
 
+	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/tier"
 )
 
-// resetConfigs is the differential-test matrix: consecutive entries
+// resetCase is one step of the recycling chain: a config and the trace
+// it runs.
+type resetCase struct {
+	cfg   Config
+	trace []gpu.Access
+}
+
+// resetCases is the differential-test matrix: consecutive entries
 // exercise both Reset branches per component — shape-compatible (reset
 // in place) and shape-changed (rebuild) — across policies, Tier-2
 // implementations, tier capacities, drive counts, and optional-feature
-// flags.
-func resetConfigs() []Config {
+// flags. The oracle → non-oracle → oracle run with different futures
+// proves the victim heaps recycle to a fresh runtime's state.
+func resetCases() []resetCase {
+	trace := forkTrace(128, 3000, 512)
+	altTrace := forkTrace(96, 2500, 384)
+
 	base := func() Config {
 		cfg := DefaultConfig()
 		cfg.Tier1Pages = 128
@@ -56,7 +68,21 @@ func resetConfigs() []Config {
 	async.AsyncEviction = true
 	async.Seed = 7
 
-	return []Config{bam, tierOrder, random, reuse, reuseAgain, lruk, twoq, smallT1, striped, async}
+	oracle := base()
+	oracle.Policy = PolicyOracle
+	oracle.AsyncEviction = true
+	oracle.Future = futureOf(trace)
+
+	oracleAgain := base()
+	oracleAgain.Policy = PolicyOracle
+	oracleAgain.Tier2Policy = tier.StoreLRUK
+	oracleAgain.Future = futureOf(altTrace)
+
+	cases := []resetCase{}
+	for _, cfg := range []Config{bam, tierOrder, random, reuse, reuseAgain, lruk, twoq, smallT1, striped, async, oracle, reuse} {
+		cases = append(cases, resetCase{cfg, trace})
+	}
+	return append(cases, resetCase{oracleAgain, altTrace})
 }
 
 // TestResetMatchesFresh is the recycled-vs-fresh differential contract
@@ -65,20 +91,19 @@ func resetConfigs() []Config {
 // byte-identical run — wall clock, dispatched-event count, and the full
 // metrics snapshot — to a freshly constructed runtime under cfg.
 func TestResetMatchesFresh(t *testing.T) {
-	configs := resetConfigs()
-	trace := forkTrace(128, 3000, 512)
+	cases := resetCases()
 
 	// Fresh references, one per config.
 	type ref struct {
 		now   sim.Time
 		steps int64
 	}
-	refs := make([]ref, len(configs))
-	snaps := make([]any, len(configs))
-	for i, cfg := range configs {
+	refs := make([]ref, len(cases))
+	snaps := make([]any, len(cases))
+	for i, c := range cases {
 		eng := sim.NewEngine()
-		rt := NewRuntime(eng, cfg)
-		runPhase(t, eng, rt, trace, 16)
+		rt := NewRuntime(eng, c.cfg)
+		runPhase(t, eng, rt, c.trace, 16)
 		refs[i] = ref{now: eng.Now(), steps: eng.Steps()}
 		snaps[i] = rt.Snapshot()
 	}
@@ -86,12 +111,13 @@ func TestResetMatchesFresh(t *testing.T) {
 	// One recycled runtime serves every config in sequence; each run
 	// must match its fresh reference exactly.
 	eng := sim.NewEngine()
-	rt := NewRuntime(eng, configs[0])
-	for i, cfg := range configs {
+	rt := NewRuntime(eng, cases[0].cfg)
+	for i, c := range cases {
+		cfg := c.cfg
 		if i > 0 {
 			rt.Reset(cfg)
 		}
-		runPhase(t, eng, rt, trace, 16)
+		runPhase(t, eng, rt, c.trace, 16)
 		if eng.Now() != refs[i].now {
 			t.Errorf("config %d (%v): wall time: fresh %d, recycled %d",
 				i, cfg.Policy, refs[i].now, eng.Now())

@@ -387,6 +387,14 @@ type Runtime struct {
 	// nextOcc[i] is the next access index of the page accessed at
 	// index i (PolicyOracle only; -1 = never again).
 	nextOcc []int64
+	// oracleT1/oracleT2 are the oracle's victim heaps over t1 and t2
+	// (PolicyOracle only; oracle.go).
+	oracleT1, oracleT2 oracleHeap
+	// oracleCheck, when set, sees every oracle selection — the store,
+	// the heap's pick and the reference scan's — and returns the page
+	// to evict. It is the differential test's seam; production
+	// runtimes leave it nil.
+	oracleCheck func(store tier.Store, heap, scan tier.PageID) tier.PageID
 
 	// Ring of recent eviction classifications for the 80% heuristic.
 	recentLong []bool
@@ -450,12 +458,7 @@ func NewRuntime(eng *sim.Engine, cfg Config) *Runtime {
 		}
 		rt.recentLong = make([]bool, w)
 	}
-	if cfg.Policy == PolicyOracle {
-		if len(cfg.Future) == 0 {
-			panic("core: PolicyOracle requires Config.Future")
-		}
-		rt.nextOcc = nextOccurrences(cfg.Future)
-	}
+	rt.initOracle(cfg)
 	if cfg.FootprintPages > 0 {
 		rt.dir.reserve(cfg.FootprintPages)
 		rt.t1.Reserve(cfg.FootprintPages)
@@ -591,7 +594,6 @@ func (rt *Runtime) Reset(cfg Config) {
 	rt.markov = reuse.Markov{}
 	rt.recentLong = nil
 	rt.recentPos, rt.recentN = 0, 0
-	rt.nextOcc = nil
 	rt.m = stats.Run{}
 	rt.history = rt.history[:0]
 	rt.reuseNS = nil
@@ -605,12 +607,7 @@ func (rt *Runtime) Reset(cfg Config) {
 		}
 		rt.recentLong = make([]bool, w)
 	}
-	if cfg.Policy == PolicyOracle {
-		if len(cfg.Future) == 0 {
-			panic("core: PolicyOracle requires Config.Future")
-		}
-		rt.nextOcc = nextOccurrences(cfg.Future)
-	}
+	rt.initOracle(cfg)
 	if cfg.FootprintPages > 0 {
 		rt.dir.reserve(cfg.FootprintPages)
 		rt.t1.Reserve(cfg.FootprintPages)
@@ -779,6 +776,11 @@ func (rt *Runtime) AccessSyncCall(a gpu.Access, call sim.EventFunc, ctx any, arg
 		}
 		ps = rt.dir.own(a.Page)
 		ps.nextUse = rt.nextOcc[idx]
+		if ps.loc == locTier1 {
+			// A Tier-2 resident needs no entry: it leaves Tier-2 below,
+			// before any victim selection.
+			rt.oracleNote(&rt.oracleT1, rt.t1, a.Page, ps.nextUse)
+		}
 	}
 	if ps.loc == locTier1 {
 		rt.m.Tier1Hits++
@@ -1256,6 +1258,9 @@ func (rt *Runtime) install(p tier.PageID) {
 	ps.t1slot = rt.t1.InsertSlot(p)
 	ps.loc = locTier1
 	rt.setT1Page(p, ps.t1slot)
+	if rt.nextOcc != nil {
+		rt.oracleNote(&rt.oracleT1, rt.t1, p, ps.nextUse)
+	}
 	ps.dirty = ps.pendingDirty
 	ps.pendingDirty = false
 	// Detach the waiter queue before running it (a waiter may re-miss

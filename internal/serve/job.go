@@ -92,6 +92,7 @@ type JobStatus struct {
 	// or collapsed into an in-flight identical job.
 	Cached      bool   `json:"cached,omitempty"`
 	Error       string `json:"error,omitempty"`
+	Stack       string `json:"stack,omitempty"` // goroutine stack of a job that panicked
 	SubmittedNS int64  `json:"submitted_ns"`
 	StartedNS   int64  `json:"started_ns,omitempty"`
 	FinishedNS  int64  `json:"finished_ns,omitempty"`
@@ -131,6 +132,7 @@ type job struct {
 	status      Status
 	payload     []byte
 	err         string
+	stack       string // set when the executor panicked
 	submittedNS int64
 	startedNS   int64
 	finishedNS  int64
@@ -142,6 +144,7 @@ func (j *job) statusView() JobStatus {
 		Kind:        j.kind,
 		Status:      j.status,
 		Error:       j.err,
+		Stack:       j.stack,
 		SubmittedNS: j.submittedNS,
 		StartedNS:   j.startedNS,
 		FinishedNS:  j.finishedNS,

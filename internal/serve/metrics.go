@@ -15,6 +15,7 @@ type metrics struct {
 	submitted        int64
 	done             int64
 	failed           int64
+	panics           int64 // failed jobs whose executor panicked
 	rejectedFull     int64
 	rejectedDraining int64
 	cacheHits        int64
@@ -106,6 +107,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("gmtd_jobs_submitted_total", "Submissions received, including rejected ones.", m.submitted)
 	counter("gmtd_jobs_done_total", "Jobs completed successfully.", m.done)
 	counter("gmtd_jobs_failed_total", "Jobs that finished with an error.", m.failed)
+	counter("gmtd_job_panics_total", "Failed jobs whose execution panicked.", m.panics)
 	fmt.Fprintf(&buf, "# HELP gmtd_jobs_rejected_total Submissions turned away at admission.\n")
 	fmt.Fprintf(&buf, "# TYPE gmtd_jobs_rejected_total counter\n")
 	fmt.Fprintf(&buf, "gmtd_jobs_rejected_total{reason=\"queue_full\"} %d\n", m.rejectedFull)

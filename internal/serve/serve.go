@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -157,7 +158,7 @@ func (s *Server) worker() {
 		s.inflight++
 		s.mu.Unlock()
 
-		payload, err := s.exec(j)
+		payload, stack, err := s.execContained(j)
 
 		s.mu.Lock()
 		j.payload = payload
@@ -165,7 +166,11 @@ func (s *Server) worker() {
 		if err != nil {
 			j.status = StatusFailed
 			j.err = err.Error()
+			j.stack = stack
 			s.met.failed++
+			if stack != "" {
+				s.met.panics++
+			}
 		} else {
 			j.status = StatusDone
 			s.met.done++
@@ -177,6 +182,20 @@ func (s *Server) worker() {
 		s.mu.Unlock()
 		j.cancel()
 	}
+}
+
+// execContained runs j through s.exec, turning a panic into an error
+// plus the panicking goroutine's stack: the simulator panics on broken
+// preconditions, and one bad job must fail alone rather than take the
+// daemon down with it. stack is empty unless the job panicked.
+func (s *Server) execContained(j *job) (payload []byte, stack string, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			payload, stack, err = nil, string(debug.Stack()), fmt.Errorf("job panicked: %v", v)
+		}
+	}()
+	payload, err = s.exec(j)
+	return payload, "", err
 }
 
 // evictLocked enforces the CacheEntries bound on retained finished

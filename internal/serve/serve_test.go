@@ -447,3 +447,41 @@ func waitForTerminal(t *testing.T, s *Server, id string) JobStatus {
 	t.Fatalf("job %s never finished", id)
 	return JobStatus{}
 }
+
+// TestPanickingJobFailsAlone pins panic containment: an executor panic
+// (the simulator's response to a broken precondition) fails that job
+// with the panic value and stack in its status and counts in
+// gmtd_job_panics_total, while the lone worker survives to complete the
+// next job.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	s := New(Options{Workers: 1, QueueDepth: 4})
+	defer s.Drain()
+	s.exec = func(j *job) ([]byte, error) {
+		if j.kind == "sim" {
+			panic("core: injected precondition failure")
+		}
+		return []byte("{}\n"), nil
+	}
+
+	bad := decodeStatus(t, post(t, s, `{"kind":"sim","sim":{"app":"BFS"}}`))
+	good := decodeStatus(t, post(t, s, expBody("fig8")))
+	st := waitForTerminal(t, s, bad.ID)
+	if st.Status != StatusFailed || !strings.Contains(st.Error, "injected precondition failure") {
+		t.Fatalf("panicking job finished as %q (error %q), want failed with the panic value", st.Status, st.Error)
+	}
+	if !strings.Contains(st.Stack, "execContained") {
+		t.Errorf("panicking job's status carries no stack: %q", st.Stack)
+	}
+	if rec := get(t, s, "/v1/jobs/"+bad.ID+"/result"); rec.Code != http.StatusInternalServerError {
+		t.Errorf("panicked job result: want 500, got %d", rec.Code)
+	}
+	if v := waitStatus(t, s, good.ID, StatusDone); v.Stack != "" || v.Error != "" {
+		t.Errorf("later job carries failure details: %+v", v)
+	}
+	if n := metricValue(t, s, "gmtd_job_panics_total"); n != 1 {
+		t.Errorf("gmtd_job_panics_total = %d, want 1", n)
+	}
+	if n := metricValue(t, s, "gmtd_jobs_failed_total"); n != 1 {
+		t.Errorf("gmtd_jobs_failed_total = %d, want 1", n)
+	}
+}
