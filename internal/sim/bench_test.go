@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/gmtsim/gmt/internal/invariant"
@@ -43,7 +44,8 @@ func BenchmarkScheduleDispatchClosure(b *testing.B) {
 }
 
 // BenchmarkScheduleDispatchDeep measures schedule+dispatch with a large
-// pending population, exercising the heap's sift paths.
+// pending population: ~10 events per instant, so level-0 slots hold
+// long FIFO lists and level-1 slots cascade many records at once.
 func BenchmarkScheduleDispatchDeep(b *testing.B) {
 	e := NewEngine()
 	const depth = 1024
@@ -54,6 +56,45 @@ func BenchmarkScheduleDispatchDeep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.AfterCall(Time(1+i%97), nopCall, nil, 0)
+		e.step()
+	}
+	b.StopTimer()
+	e.Run()
+}
+
+// sparsePending and sparseDeltas shape BenchmarkScheduleDispatchSparse
+// after the simulator's own traffic: a pending set of about a dozen
+// events and deltas from the measured log2 histogram (measuredDelta),
+// precomputed so the loop times the engine rather than the RNG.
+const sparsePending = 12
+
+var sparseDeltas = func() (d [4096]Time) {
+	rng := rand.New(rand.NewSource(1))
+	for i := range d {
+		d[i] = measuredDelta(rng)
+	}
+	return d
+}()
+
+// sparseEngine returns an engine holding sparsePending events.
+func sparseEngine() *Engine {
+	e := NewEngine()
+	for i := 0; i < sparsePending; i++ {
+		e.AfterCall(sparseDeltas[i], nopCall, nil, 0)
+	}
+	return e
+}
+
+// BenchmarkScheduleDispatchSparse measures one schedule+dispatch cycle
+// on the sparse pending set the simulator actually keeps — the path
+// where most pops dispatch a lone upper-level event directly. Steady
+// state is 0 allocs/op.
+func BenchmarkScheduleDispatchSparse(b *testing.B) {
+	e := sparseEngine()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.AfterCall(sparseDeltas[i%len(sparseDeltas)], nopCall, nil, 0)
 		e.step()
 	}
 	b.StopTimer()
@@ -75,7 +116,7 @@ func TestScheduleDispatchAllocGate(t *testing.T) {
 		t.Skip("allocation gates run on the default build only")
 	}
 	e := NewEngine()
-	// Warm the arena, free list, and heap to steady-state capacity.
+	// Warm the arena and free list to steady-state capacity.
 	for i := 0; i < 1024; i++ {
 		e.AfterCall(Time(i%13), nopCall, nil, 0)
 	}
@@ -88,6 +129,17 @@ func TestScheduleDispatchAllocGate(t *testing.T) {
 	})
 	if typed != 0 {
 		t.Errorf("typed schedule+dispatch = %.1f allocs/op, want 0", typed)
+	}
+
+	se := sparseEngine()
+	i := 0
+	sparse := testing.AllocsPerRun(200, func() {
+		se.AfterCall(sparseDeltas[i%len(sparseDeltas)], nopCall, nil, 0)
+		se.step()
+		i++
+	})
+	if sparse != 0 {
+		t.Errorf("sparse schedule+dispatch = %.1f allocs/op, want 0", sparse)
 	}
 
 	sink := 0

@@ -22,17 +22,23 @@
 //
 // # Queue discipline
 //
-// The pending set is a hierarchical timing wheel (4 levels × 256 slots
-// covering 2^32 ns beyond the cursor) with a ladder-style overflow list
-// for farther-out events. Push and pop are O(1): almost every delta the
-// simulator schedules is one of a few small constants (per-access
-// compute, per-I/O latency, link grants), so events land directly in the
-// bottom wheel and pops walk a 256-bit occupancy bitmap. Dispatch order
-// is bit-exact with a binary min-heap ordered by (time, sequence): slot
-// lists are appended in schedule order and cascades preserve it, so the
-// FIFO tie-break of simultaneous events survives every structural move
-// (see HACKING.md, "Scheduler determinism contract"; the differential
-// fuzz test in engine_diff_test.go pins the equivalence).
+// The pending set is a hierarchical timing wheel (6 levels × 64 slots
+// covering 2^36 ns beyond the cursor) with a ladder-style overflow list
+// for farther-out events. Each level's occupancy is one 64-bit word and
+// a level-summary word marks the non-empty levels, so the earliest
+// occupied slot is two TrailingZeros64 away. The simulator's pending set
+// is sparse (typically 8–15 events, deltas of 128 ns–32 µs), so most
+// events sit alone in an upper-level slot; pop dispatches such a lone
+// event directly — it is the global minimum — and only a slot holding
+// several events cascades down. Push and pop are O(1) amortized.
+// Dispatch order is bit-exact with a binary min-heap ordered by (time,
+// sequence): slot lists are appended in schedule order, cascades
+// preserve it, and equal-time events always share a slot, so a lone
+// event has no tied peer and the FIFO tie-break of simultaneous events
+// survives every structural move (see HACKING.md, "Scheduler
+// determinism contract"). The differential fuzz test in
+// engine_diff_test.go pins the equivalence, and -tags gmtinvariants
+// builds assert per dispatch that (time, sequence) strictly increases.
 package sim
 
 import (
@@ -76,14 +82,14 @@ func CallFunc(ctx any, _ int64) {
 // Timing-wheel geometry: wheelLevels levels of wheelSlots slots each.
 // Level k buckets times by bits [k*wheelBits, (k+1)*wheelBits) relative
 // to the cursor's window, so the wheel spans 2^wheelSpan ns beyond the
-// cursor; events farther out wait in the overflow ladder.
+// cursor; events farther out wait in the overflow ladder. 64 slots make
+// a level's occupancy exactly one uint64.
 const (
-	wheelBits   = 8
+	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
+	wheelLevels = 6
 	wheelSpan   = wheelBits * wheelLevels
-	wheelWords  = wheelSlots / 64
 )
 
 // noEvent terminates a slot's singly-linked record list.
@@ -117,17 +123,20 @@ type Engine struct {
 	free []int32
 
 	// cur is the wheel cursor: the time of the last structural advance
-	// (a pop or an overflow rebase). Invariants: cur <= now, and every
-	// pending event's time is >= cur. Slot placement hashes an event's
-	// time against cur, so slots behind the cursor are always empty and
-	// occupancy-bitmap scans can start at bit 0.
+	// (a pop or an overflow rebase). Invariants: cur <= now between
+	// dispatches, every pending event's time is >= cur, and every wheel
+	// record sits where place would put it against the current cur. Slot
+	// placement hashes an event's time against cur, so slots behind the
+	// cursor are always empty and the lowest occupied bit is the earliest.
 	cur Time
 	// head/tail index each slot's FIFO record list; occ is the per-level
-	// occupancy bitmap (the head/tail values are meaningful only while
-	// the slot's occ bit is set, which is what lets the zero value work).
-	head [wheelLevels][wheelSlots]int32
-	tail [wheelLevels][wheelSlots]int32
-	occ  [wheelLevels][wheelWords]uint64
+	// occupancy word and levels has bit k set while occ[k] != 0 (the
+	// head/tail values are meaningful only while the slot's occ bit is
+	// set, which is what lets the zero value work).
+	head   [wheelLevels][wheelSlots]int32
+	tail   [wheelLevels][wheelSlots]int32
+	occ    [wheelLevels]uint64
+	levels uint64
 
 	// overflow is the ladder fallback: events beyond the wheel's span,
 	// in schedule order. They re-enter the wheel when it drains and the
@@ -144,8 +153,12 @@ type Engine struct {
 	peekAt Time
 	peekOK bool
 
-	seq   int64
-	steps int64
+	// seq numbers schedules; lastSeq is the seq of the last dispatch,
+	// which gmtinvariants builds use to check that dispatched
+	// (time, seq) pairs strictly increase.
+	seq     int64
+	lastSeq int64
+	steps   int64
 
 	// Pool conservation counters: every schedule acquires one record,
 	// every dispatch releases it. Run asserts they balance (under -tags
@@ -175,17 +188,13 @@ func (e *Engine) Reset() {
 		panic(fmt.Sprintf("sim: Reset with %d events pending", e.pending))
 	}
 	if invariant.Enabled {
-		for lvl := 0; lvl < wheelLevels; lvl++ {
-			for w, word := range e.occ[lvl] {
-				invariant.Assert(word == 0,
-					"sim: Reset found occupied wheel slots at level %d word %d with nothing pending", lvl, w)
-			}
-		}
+		invariant.Assert(e.levels == 0 && e.occ == [wheelLevels]uint64{},
+			"sim: Reset found occupied wheel slots (levels %#x) with nothing pending", e.levels)
 		invariant.Assert(len(e.free) == len(e.recs),
 			"sim: Reset found %d free of %d records with nothing pending", len(e.free), len(e.recs))
 	}
 	e.now, e.cur = 0, 0
-	e.seq, e.steps = 0, 0
+	e.seq, e.lastSeq, e.steps = 0, 0, 0
 	e.overflow = e.overflow[:0]
 	e.overflowMin = 0
 	e.peekAt, e.peekOK = 0, false
@@ -227,9 +236,10 @@ func (e *Engine) Snapshot() Snapshot {
 // the snapshot time, which preserves the placement invariant (every
 // future event is >= now >= cur); because the sequence counter also
 // continues, equal-time tie-breaking in a child matches what the parent
-// engine would have done had it kept running.
+// engine would have done had it kept running. Every event the parent
+// dispatched carries a seq <= snap.seq, so that bounds lastSeq.
 func NewEngineFrom(snap Snapshot) *Engine {
-	return &Engine{now: snap.now, cur: snap.now, seq: snap.seq, steps: snap.steps}
+	return &Engine{now: snap.now, cur: snap.now, seq: snap.seq, lastSeq: snap.seq, steps: snap.steps}
 }
 
 // Now reports the current virtual time.
@@ -329,136 +339,111 @@ func (e *Engine) schedule(t Time, call EventFunc, ctx any, arg int64, fn func())
 
 // place threads record id (due at t) onto its wheel slot, or onto the
 // overflow ladder when t is beyond the wheel's span. The level is the
-// highest byte in which t differs from the cursor, so every event below
-// the current level-0 window boundary sits in the bottom wheel where its
-// slot denotes an exact instant. Appending at the tail preserves
-// schedule (sequence) order within a slot.
+// highest wheelBits-wide digit in which t differs from the cursor, so
+// every event below the current level-0 window boundary sits in the
+// bottom wheel where its slot denotes an exact instant. Appending at the
+// tail preserves schedule (sequence) order within a slot.
 func (e *Engine) place(id int32, t Time) {
-	diff := t ^ e.cur
-	if diff>>wheelSpan != 0 {
+	lvl := uint(bits.Len64(uint64(t^e.cur)|1)-1) / wheelBits
+	if lvl >= wheelLevels {
 		if len(e.overflow) == 0 || t < e.overflowMin {
 			e.overflowMin = t
 		}
 		e.overflow = append(e.overflow, id)
 		return
 	}
-	lvl := 0
-	if diff != 0 {
-		lvl = (bits.Len64(uint64(diff)) - 1) / wheelBits
-	}
-	s := int(t>>(uint(lvl)*wheelBits)) & wheelMask
+	s := uint(t>>(lvl*wheelBits)) & wheelMask
 	e.recs[id].next = noEvent
-	if e.occ[lvl][s>>6]&(1<<(uint(s)&63)) != 0 {
+	if e.occ[lvl]&(1<<s) != 0 {
 		e.recs[e.tail[lvl][s]].next = id
 	} else {
-		e.occ[lvl][s>>6] |= 1 << (uint(s) & 63)
+		e.occ[lvl] |= 1 << s
+		e.levels |= 1 << lvl
 		e.head[lvl][s] = id
 	}
 	e.tail[lvl][s] = id
 }
 
-// firstSet returns the lowest set bit index of a level's occupancy
-// bitmap. Slots behind the cursor are empty by invariant, so the lowest
-// occupied slot is always the earliest.
-func firstSet(w *[wheelWords]uint64) (int, bool) {
-	for i, word := range w {
-		if word != 0 {
-			return i<<6 + bits.TrailingZeros64(word), true
-		}
-	}
-	return 0, false
-}
-
 // findMin computes the earliest pending time without mutating the
 // wheel. Levels are strictly ordered in time (everything at level k+1 is
-// later than everything at level k or below), so the first occupied
+// later than everything at level k or below), and slots behind the
+// cursor are empty, so the lowest occupied slot of the lowest non-empty
 // level decides: at level 0 a slot is an exact instant; higher up the
 // slot's list is scanned for its earliest member.
 func (e *Engine) findMin() Time {
-	if s, ok := firstSet(&e.occ[0]); ok {
-		return e.cur&^Time(wheelMask) + Time(s)
+	if e.levels == 0 {
+		return e.overflowMin
 	}
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		s, ok := firstSet(&e.occ[lvl])
-		if !ok {
-			continue
+	lvl := bits.TrailingZeros64(e.levels)
+	id := e.head[lvl][bits.TrailingZeros64(e.occ[lvl])]
+	min := e.recs[id].at
+	for id = e.recs[id].next; lvl > 0 && id != noEvent; id = e.recs[id].next {
+		if at := e.recs[id].at; at < min {
+			min = at
 		}
-		min := e.recs[e.head[lvl][s]].at
-		for id := e.recs[e.head[lvl][s]].next; id != noEvent; id = e.recs[id].next {
-			if at := e.recs[id].at; at < min {
-				min = at
-			}
-		}
-		return min
 	}
-	return e.overflowMin
+	return min
 }
 
 // pop removes and returns the earliest pending record, advancing the
-// cursor. Level-0 pops are O(1); exhausting the bottom window cascades
-// the next occupied higher slot down (amortized O(1) per event, since
-// each event moves down at most wheelLevels-1 times), and a fully
-// drained wheel rebases onto the overflow ladder.
+// cursor to its time. The lowest occupied slot of the lowest non-empty
+// level is dispatched from directly when it is a level-0 slot (an exact
+// instant, popped in FIFO order) or holds a single record: a lone record
+// is the global minimum, and because equal-time events always share a
+// slot it has no tied peer. Moving the cursor to its time leaves every
+// other record's level and slot unchanged, since it agrees with the old
+// cursor on every digit above that level. An upper slot holding several
+// records cascades instead: the cursor advances to the slot's window
+// start and the list is re-placed in order, which keeps the per-instant
+// FIFO intact (each record moves down at most wheelLevels-1 times). A
+// fully drained wheel rebases onto the overflow ladder.
 func (e *Engine) pop() int32 {
 	for {
-		if s, ok := firstSet(&e.occ[0]); ok {
-			id := e.head[0][s]
-			if nxt := e.recs[id].next; nxt == noEvent {
-				e.occ[0][s>>6] &^= 1 << (uint(s) & 63)
-			} else {
-				e.head[0][s] = nxt
+		if e.levels == 0 {
+			// Ladder fallback: the wheel is empty, so nothing is pending
+			// before overflowMin and the cursor can rebase there.
+			// Replaying the ladder in schedule order re-splits it: events
+			// inside the new span enter the wheel (equal-time FIFO
+			// intact), the rest stay behind with a recomputed minimum.
+			if len(e.overflow) == 0 {
+				panic("sim: pop from an empty engine")
 			}
-			e.cur = e.cur&^Time(wheelMask) + Time(s)
-			e.pending--
-			e.peekOK = false
-			return id
-		}
-		if e.cascade() {
+			e.cur = e.overflowMin
+			ovf := e.overflow
+			e.overflow = e.overflow[:0]
+			for _, id := range ovf {
+				// In-place refill over the shared backing array is safe:
+				// when entry i is read (copied out by range) at most i
+				// entries have been re-appended, so writes trail reads.
+				e.place(id, e.recs[id].at)
+			}
 			continue
 		}
-		// Ladder fallback: the wheel is empty, so nothing is pending
-		// before overflowMin and the cursor can rebase there. Replaying
-		// the ladder in schedule order re-splits it: events inside the
-		// new span enter the wheel (equal-time FIFO intact), the rest
-		// stay behind with a recomputed minimum.
-		if len(e.overflow) == 0 {
-			panic("sim: pop from an empty engine")
-		}
-		e.cur = e.overflowMin
-		ovf := e.overflow
-		e.overflow = e.overflow[:0]
-		for _, id := range ovf {
-			// In-place refill over the shared backing array is safe:
-			// when entry i is read (copied out by range) at most i
-			// entries have been re-appended, so writes trail reads.
-			e.place(id, e.recs[id].at)
-		}
-	}
-}
-
-// cascade moves the first occupied slot of the lowest non-empty level
-// down one level (or more), advancing the cursor to the slot's window
-// start. Walking the slot list in order and tail-appending keeps the
-// per-instant FIFO intact: equal-time events can only share a slot in
-// schedule order. Reports false when every level is empty.
-func (e *Engine) cascade() bool {
-	for lvl := 1; lvl < wheelLevels; lvl++ {
-		s, ok := firstSet(&e.occ[lvl])
-		if !ok {
-			continue
-		}
+		lvl := uint(bits.TrailingZeros64(e.levels))
+		s := uint(bits.TrailingZeros64(e.occ[lvl]))
 		id := e.head[lvl][s]
-		e.occ[lvl][s>>6] &^= 1 << (uint(s) & 63)
-		shift := uint(lvl) * wheelBits
-		e.cur = e.cur&^(1<<(shift+wheelBits)-1) | Time(s)<<shift
-		for id != noEvent {
-			nxt := e.recs[id].next
-			e.place(id, e.recs[id].at)
-			id = nxt
+		nxt := e.recs[id].next
+		if lvl == 0 && nxt != noEvent {
+			e.head[0][s] = nxt
+		} else {
+			if e.occ[lvl] &^= 1 << s; e.occ[lvl] == 0 {
+				e.levels &^= 1 << lvl
+			}
+			if nxt != noEvent {
+				shift := lvl * wheelBits
+				e.cur = e.cur&^(1<<(shift+wheelBits)-1) | Time(s)<<shift
+				for ; id != noEvent; id = nxt {
+					nxt = e.recs[id].next
+					e.place(id, e.recs[id].at)
+				}
+				continue
+			}
 		}
-		return true
+		e.cur = e.recs[id].at
+		e.pending--
+		e.peekOK = false
+		return id
 	}
-	return false
 }
 
 // acquireRecord pops a free record index, growing the arena only when
@@ -548,6 +533,13 @@ func (e *Engine) step() {
 	if invariant.Enabled {
 		invariant.Assert(peeked == r.at,
 			"sim: Peek promised %d but dispatch popped %d", peeked, r.at)
+		// With the clock check above, this makes dispatched (at, seq)
+		// pairs strictly increase: an event due at the current instant
+		// was scheduled after the previous dispatch or ties with it, and
+		// either way must carry a later seq (the FIFO tie-break).
+		invariant.Assert(r.at > e.now || r.seq > e.lastSeq,
+			"sim: FIFO tie-break broken: dispatching seq %d at %d after seq %d", r.seq, r.at, e.lastSeq)
+		e.lastSeq = r.seq
 	}
 	e.now = r.at
 	e.steps++

@@ -32,10 +32,31 @@ func (h *refHeap) Push(x any)    { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any      { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
 func (h refHeap) peek() refEvent { return h[0] }
 
+// measuredDeltaLog2 shapes scheduling deltas like the simulator's own
+// traffic. A full `gmtbench all` run schedules ~135 M events; most
+// deltas fall in 128 ns–32 µs, with peaks at 128–255 ns (≈19%), 1–2 µs
+// (≈13%) and 16–32 µs (≈30%). Each entry is one log2 bucket worth ≈5%
+// of the draws; the remainder is spread over the octaves in between,
+// sub-128 ns deltas, and equal-time ties (-1, delta 0).
+var measuredDeltaLog2 = [20]int8{-1, 6, 7, 7, 7, 7, 8, 9, 10, 10, 10, 11, 12, 13, 14, 14, 14, 14, 14, 14}
+
+// measuredDelta draws one delta from measuredDeltaLog2.
+func measuredDelta(rng *rand.Rand) Time {
+	k := measuredDeltaLog2[rng.Intn(len(measuredDeltaLog2))]
+	if k < 0 {
+		return 0
+	}
+	return Time(1)<<k + Time(rng.Int63n(1<<k))
+}
+
 // diffRun replays one randomized schedule derived from data through both
 // queues and reports the first divergence. The op stream mixes near and
 // far deltas (level-0 hits, upper wheel levels, the overflow ladder),
 // equal-time bursts, RunUntil boundaries, and reschedule-from-callback.
+// When data[0]%8 == 5 it runs the sparse regime instead: the pending set
+// held at or below sparsePending events, every event
+// rescheduling a successor, with measuredDelta deltas — the traffic that
+// mostly takes the lone-event dispatch path.
 func diffRun(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -46,6 +67,7 @@ func diffRun(t *testing.T, data []byte) {
 		seed = seed*131 + int64(b)
 	}
 	rng := rand.New(rand.NewSource(seed))
+	sparse := data[0]%8 == 5
 
 	e := NewEngine()
 	ref := &refHeap{}
@@ -53,20 +75,23 @@ func diffRun(t *testing.T, data []byte) {
 	var got []int64 // event IDs in engine dispatch order
 
 	// delta picks a scheduling offset biased toward the simulator's real
-	// mix (small constants) but regularly crossing wheel levels and the
-	// 2^32 overflow horizon, and landing equal-time bursts.
+	// mix (small constants) but regularly crossing every wheel level and
+	// the 2^wheelSpan overflow horizon, and landing equal-time bursts.
 	delta := func() Time {
+		if sparse {
+			return measuredDelta(rng)
+		}
 		switch rng.Intn(8) {
 		case 0:
 			return 0 // equal-time burst with whatever fired now
 		case 1, 2, 3:
-			return Time(rng.Intn(256)) // level 0
+			return Time(rng.Intn(wheelSlots)) // level 0
 		case 4:
-			return Time(rng.Intn(1 << 16)) // level 1–2
+			return Time(rng.Intn(1 << (2 * wheelBits))) // levels 1–2
 		case 5:
-			return Time(rng.Intn(1 << 28)) // level 3
+			return Time(rng.Int63n(1 << (rng.Intn(wheelSpan) + 1))) // any level, log-uniform
 		case 6:
-			return 1<<32 + Time(rng.Intn(1<<33)) // overflow ladder
+			return 1<<wheelSpan + Time(rng.Int63n(1<<(wheelSpan+1))) // overflow ladder
 		default:
 			return Time(rng.Intn(64)) * 200 // ComputePerAccess-like grid
 		}
@@ -80,7 +105,7 @@ func diffRun(t *testing.T, data []byte) {
 		var fire EventFunc
 		fire = func(_ any, myID int64) {
 			got = append(got, myID)
-			if chain > 0 && rng.Intn(3) == 0 {
+			if chain > 0 && (sparse || rng.Intn(3) == 0) {
 				chain--
 				child := nextID
 				nextID++
@@ -94,10 +119,20 @@ func diffRun(t *testing.T, data []byte) {
 	}
 
 	nops := int(data[0])%48 + 8
+	if sparse {
+		nops *= 4
+	}
 	for op := 0; op < nops; op++ {
-		switch rng.Intn(4) {
+		kind := rng.Intn(4)
+		if sparse && kind < 2 && e.Pending() >= sparsePending {
+			kind = 3 // hold the pending set near its measured size
+		}
+		switch kind {
 		case 0: // burst of simultaneous root events
 			n := rng.Intn(6) + 1
+			if sparse {
+				n = 1
+			}
 			for i := 0; i < n; i++ {
 				schedule(2)
 			}
@@ -155,24 +190,29 @@ func diffRun(t *testing.T, data []byte) {
 // TestEngineDifferential is the deterministic slice of the fuzz
 // property: a fixed corpus of seeds, always run, so the equivalence is
 // checked on every `go test` (and under -tags gmtinvariants in CI), not
-// only during fuzzing.
+// only during fuzzing. Every eighth seed runs the sparse regime.
 func TestEngineDifferential(t *testing.T) {
-	for seed := byte(0); seed < 64; seed++ {
+	for seed := byte(0); seed < 80; seed++ {
 		diffRun(t, []byte{seed, byte(seed * 7), byte(255 - seed)})
 	}
 }
 
 // FuzzEngineDifferential drives the timing wheel and the reference heap
 // with identical randomized schedules and requires identical dispatch
-// sequences. CI runs a short -fuzz pass; the seed corpus below covers
-// each delta regime (level-0, upper levels, overflow, equal-time
-// bursts).
+// sequences. CI runs a short -fuzz pass, untagged and under -tags
+// gmtinvariants; the seed corpus below covers each delta regime
+// (level-0, upper levels, overflow, equal-time bursts) and the sparse
+// measured-mix regime (first byte ≡ 5 mod 8).
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3})
 	f.Add([]byte{7, 7, 7, 7})
 	f.Add([]byte{42, 0, 255, 13, 101})
 	f.Add([]byte{255, 128, 64, 32, 16, 8})
+	f.Add([]byte{5})
+	f.Add([]byte{13, 99, 7})
+	f.Add([]byte{45, 1, 2, 3, 4})
+	f.Add([]byte{253, 17, 0, 255})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diffRun(t, data)
 	})

@@ -18,3 +18,20 @@ func TestAdvanceToSkipAssertFires(t *testing.T) {
 	e.AfterCall(100, CallFunc, func() {}, 0)
 	e.AdvanceTo(200)
 }
+
+// TestFIFOSeqAssertFires pins the dispatch-order check: with the seqs of
+// two same-instant events swapped, the second dispatch carries an
+// earlier seq than the first, which step must refuse under -tags
+// gmtinvariants.
+func TestFIFOSeqAssertFires(t *testing.T) {
+	e := NewEngine()
+	e.AtCall(5, nopCall, nil, 0)
+	e.AtCall(5, nopCall, nil, 0)
+	e.recs[0].seq, e.recs[1].seq = e.recs[1].seq, e.recs[0].seq
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order (at, seq) dispatch did not panic under gmtinvariants")
+		}
+	}()
+	e.Run()
+}

@@ -538,18 +538,23 @@ func TestEngineAdvanceTo(t *testing.T) {
 }
 
 // TestEngineFarEvents exercises the overflow ladder: events beyond the
-// wheel's span (2^32 ns past the cursor) must still dispatch in exact
-// time-then-FIFO order, including equal-time pairs straddling the
-// rebase.
+// wheel's span (2^wheelSpan ns past the cursor) must still dispatch in
+// exact time-then-FIFO order, including equal-time pairs straddling the
+// rebase. Both far instants start on the ladder, and the second rebase
+// (onto near) leaves far on it again.
 func TestEngineFarEvents(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	const far = Time(1) << 40
+	const near = Time(1) << (wheelSpan + 1)
+	const far = Time(1) << (wheelSpan + 4)
 	e.At(far+5, func() { got = append(got, 4) })
 	e.At(3, func() { got = append(got, 1) })
 	e.At(far+5, func() { got = append(got, 5) }) // same instant, FIFO after 4
 	e.At(far, func() { got = append(got, 3) })
-	e.At(1<<33, func() { got = append(got, 2) })
+	e.At(near, func() { got = append(got, 2) })
+	if len(e.overflow) != 4 {
+		t.Fatalf("%d events on the overflow ladder, want 4", len(e.overflow))
+	}
 	e.Run()
 	want := []int{1, 2, 3, 4, 5}
 	for i := range want {
@@ -568,7 +573,12 @@ func TestEngineFarEvents(t *testing.T) {
 func TestEngineCascadeFIFO(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	const at = Time(3)<<24 | Time(5)<<16 | Time(7)<<8 | 9 // occupies all levels
+	// A non-zero digit at every level, so the burst starts in the top
+	// level and cascades through each one on its way down.
+	var at Time
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		at |= Time(lvl+3) << (lvl * wheelBits)
+	}
 	for i := 0; i < 64; i++ {
 		i := i
 		e.At(at, func() { got = append(got, i) })
@@ -592,21 +602,71 @@ func TestEngineCascadeFIFO(t *testing.T) {
 func TestEngineRunUntilAcrossWindows(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	times := []Time{1, 200, 70_000, 20_000_000, 1 << 34}
+	// One event per wheel level, then one on the overflow ladder.
+	var times []Time
+	for lvl := 0; lvl < wheelLevels; lvl++ {
+		times = append(times, Time(3)<<(lvl*wheelBits))
+	}
+	times = append(times, Time(1)<<(wheelSpan+1))
 	for _, at := range times {
 		at := at
 		e.At(at, func() { fired = append(fired, at) })
 	}
-	e.RunUntil(70_000)
-	if len(fired) != 3 || e.Now() != 70_000 {
-		t.Fatalf("fired=%v now=%d, want 3 events and now=70000", fired, e.Now())
+	if e.levels != 1<<wheelLevels-1 || len(e.overflow) != 1 {
+		t.Fatalf("levels = %#x, overflow = %d; want every level and one ladder event", e.levels, len(e.overflow))
 	}
-	if at, ok := e.Peek(); !ok || at != 20_000_000 {
-		t.Fatalf("Peek = %d,%v, want 20000000,true", at, ok)
+	e.RunUntil(times[2])
+	if len(fired) != 3 || e.Now() != times[2] {
+		t.Fatalf("fired=%v now=%d, want 3 events and now=%d", fired, e.Now(), times[2])
+	}
+	if at, ok := e.Peek(); !ok || at != times[3] {
+		t.Fatalf("Peek = %d,%v, want %d,true", at, ok, times[3])
 	}
 	e.Run()
 	if len(fired) != len(times) {
 		t.Fatalf("fired %d of %d after Run", len(fired), len(times))
+	}
+}
+
+// TestEngineUpperSingletonDispatch pins the lone-event rule: an event
+// alone in an upper-level slot dispatches directly, without cascading
+// its level, and the events its callback schedules — one at the same
+// instant, one later in the same level — still dispatch in (time, seq)
+// order behind the untouched event already waiting in that level.
+func TestEngineUpperSingletonDispatch(t *testing.T) {
+	e := NewEngine()
+	const lvl = 2
+	const unit = Time(1) << (lvl * wheelBits)
+	const at, soon, later = 5*unit + 7, 6*unit + 1, 8 * unit
+	var got []int64
+	e.AtCall(later, countCall, &got, 4)
+	e.AtCall(at, func(ctx any, arg int64) {
+		countCall(ctx, arg)
+		e.AtCall(at, countCall, &got, 2)
+		e.AtCall(soon, countCall, &got, 3)
+	}, &got, 1)
+	if e.levels != 1<<lvl {
+		t.Fatalf("levels = %#x, want only level %d occupied", e.levels, lvl)
+	}
+	e.step()
+	if e.Now() != at || e.cur != at {
+		t.Fatalf("now=%d cur=%d after the lone dispatch, want both %d", e.Now(), e.cur, at)
+	}
+	// Not cascaded: the waiting event keeps its level-2 slot, beside the
+	// callback's later event, and the tie sits at level 0.
+	if want := uint64(1)<<(soon/unit) | 1<<(later/unit); e.occ[lvl] != want || e.levels != 1|1<<lvl {
+		t.Fatalf("occ[%d] = %#x, levels = %#x; want %#x, %#x", lvl, e.occ[lvl], e.levels, want, 1|1<<lvl)
+	}
+	var times []Time
+	for e.Pending() > 0 {
+		e.step()
+		times = append(times, e.Now())
+	}
+	if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+		t.Fatalf("dispatch order = %v, want [1 2 3 4]", got)
+	}
+	if times[0] != at || times[1] != soon || times[2] != later {
+		t.Fatalf("dispatch times = %v, want [%d %d %d]", times, at, soon, later)
 	}
 }
 
