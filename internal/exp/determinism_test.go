@@ -79,8 +79,10 @@ func TestSweepForkNoForkIdentical(t *testing.T) {
 // lock under real contention.
 func TestParallelPrewarmByteIdentical(t *testing.T) {
 	// fig12 rides along to cover the forked path: its prefix parents are
-	// built and forked from concurrent workers.
-	experiments := []string{"fig8", "fig9", "fig12", "fig14", "kvserve"}
+	// built and forked from concurrent workers. warmup's history-reading
+	// runs and fig4's and table2's trace analyses are prewarmed jobs too,
+	// so their rows must match a cold render.
+	experiments := []string{"fig8", "fig9", "fig12", "fig14", "kvserve", "warmup", "fig4", "table2"}
 	render := func(workers int) string {
 		s := NewSuite(workload.Scale{Tier1Pages: 256, Tier2Pages: 1024, Oversubscription: 2})
 		if workers > 1 {
@@ -97,8 +99,12 @@ func TestParallelPrewarmByteIdentical(t *testing.T) {
 		rows12, tbl12 := Figure12(s)
 		rows14, tbl14 := Figure14(s)
 		rowsKV, tblKV := KVServe(s)
+		rowsW, tblW := RegressionWarmup(s)
+		rows4, tbl4 := Figure4(s)
+		rows2, tbl2 := Table2(s)
 		return tbl8.Render() + tbl9.Render() + tbl12.Render() + tbl14.Render() + tblKV.Render() +
-			fmt.Sprintf("%#v%#v%#v%#v%#v", rows8, rows9, rows12, rows14, rowsKV)
+			tblW.Render() + tbl4.Render() + tbl2.Render() +
+			fmt.Sprintf("%#v%#v%#v%#v%#v%#v%#v%#v", rows8, rows9, rows12, rows14, rowsKV, rowsW, rows4, rows2)
 	}
 	sequential := render(1)
 	for _, workers := range []int{2, 4} {

@@ -18,7 +18,7 @@ func (s *Suite) RunConfig(key string, w workload.Workload, cfg core.Config) stat
 		cfg.FootprintPages = int(w.Pages())
 	}
 	gcfg := s.GPU
-	return s.memoRun(w.Name()+"/"+key, func() stats.Run {
+	return memoRun(s, &s.results, w.Name()+"/"+key, func() stats.Run {
 		eng := sim.NewEngine()
 		rt := core.NewRuntime(eng, cfg)
 		g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: s.Trace(w)}, rt)
@@ -102,6 +102,49 @@ type WarmupRow struct {
 	SpeedupUnpipelined float64
 }
 
+// warmupApps are the applications the regression-pipelining study runs.
+var warmupApps = []string{"Srad", "Backprop", "MultiVectorAdd"}
+
+// warmupResult is one regression-pipelining run: the Tier-2 hit rate
+// over the first third of the run's accesses, read from the runtime's
+// history, and the full-run metrics.
+type warmupResult struct {
+	early float64
+	run   stats.Run
+}
+
+// warmupRun simulates w under GMT-Reuse with pipelined or end-only
+// regression publication, sampling the runtime's history 30 times over
+// the trace. Memoized like Run, so the planner can prewarm it.
+//
+//gmt:blocking
+func (s *Suite) warmupRun(w workload.Workload, unpipelined bool) warmupResult {
+	return memoRun(s, &s.warmups, fmt.Sprintf("%s/warmup/%v", w.Name(), unpipelined), func() warmupResult {
+		trace := s.Trace(w)
+		interval := len(trace) / 30
+		if interval < 1 {
+			interval = 1
+		}
+		cfg := s.config(core.PolicyReuse)
+		cfg.UnpipelinedRegression = unpipelined
+		cfg.HistorySample = interval
+		eng := sim.NewEngine()
+		rt := core.NewRuntime(eng, cfg)
+		g := gpuNew(s, eng, trace, rt)
+		g.Launch()
+		eng.Run()
+		m := rt.Snapshot()
+		m.App = w.Name()
+		m.WallTime = eng.Now()
+		hist := rt.History()
+		third := len(hist) / 3
+		if third < 1 {
+			third = 1
+		}
+		return warmupResult{early: hist[third-1].Tier2HitRate(), run: m}
+	})
+}
+
 // RegressionWarmup tests §2.1.3's claim that shipping sample batches to
 // the regression "results in better placement for the early part of the
 // execution", against the wait-for-all-samples strawman.
@@ -110,44 +153,16 @@ func RegressionWarmup(s *Suite) ([]WarmupRow, *stats.Table) {
 		"Application", "Early hits (pipelined)", "Early hits (end-only)",
 		"Speedup (pipelined)", "Speedup (end-only)")
 	var rows []WarmupRow
-	apps := []string{"Srad", "Backprop", "MultiVectorAdd"}
-	for _, name := range apps {
+	for _, name := range warmupApps {
 		w := appByName(s, name)
-		trace := s.Trace(w)
-		interval := len(trace) / 30
-		if interval < 1 {
-			interval = 1
-		}
-		earlyHitRate := func(unpipelined bool) (float64, stats.Run) {
-			cfg := s.config(core.PolicyReuse)
-			cfg.UnpipelinedRegression = unpipelined
-			cfg.HistorySample = interval
-			key := fmt.Sprintf("warmup/%v", unpipelined)
-			eng := sim.NewEngine()
-			rt := core.NewRuntime(eng, cfg)
-			g := gpuNew(s, eng, trace, rt)
-			g.Launch()
-			eng.Run()
-			m := rt.Snapshot()
-			m.App = w.Name()
-			m.WallTime = eng.Now()
-			s.storeResult(w.Name()+"/"+key, m)
-			hist := rt.History()
-			third := len(hist) / 3
-			if third < 1 {
-				third = 1
-			}
-			return hist[third-1].Tier2HitRate(), m
-		}
 		bam := s.Run(w, core.PolicyBaM)
-		pipeEarly, pipeRun := earlyHitRate(false)
-		endEarly, endRun := earlyHitRate(true)
+		pipe, end := s.warmupRun(w, false), s.warmupRun(w, true)
 		r := WarmupRow{
 			App:                     name,
-			EarlyHitRatePipelined:   pipeEarly,
-			EarlyHitRateUnpipelined: endEarly,
-			SpeedupPipelined:        pipeRun.SpeedupOver(bam),
-			SpeedupUnpipelined:      endRun.SpeedupOver(bam),
+			EarlyHitRatePipelined:   pipe.early,
+			EarlyHitRateUnpipelined: end.early,
+			SpeedupPipelined:        pipe.run.SpeedupOver(bam),
+			SpeedupUnpipelined:      end.run.SpeedupOver(bam),
 		}
 		rows = append(rows, r)
 		t.AddRow(r.App, stats.Pct(r.EarlyHitRatePipelined), stats.Pct(r.EarlyHitRateUnpipelined),

@@ -49,13 +49,25 @@ type Table2Row struct {
 	Accesses     int64
 }
 
+// characteristics returns w's trace summary against this suite's tier
+// sizes (Table 2 and Figure 7), analyzing the trace once per
+// fingerprint. Like the trace itself, the memo lives on the suite that
+// owns the trace.
+func (s *Suite) characteristics(w workload.Workload) workload.Characteristics {
+	c, _ := s.dataSuite().chars.get(w.Name()+s.Fingerprint(), func() workload.Characteristics {
+		s.analyses.Add(1)
+		return workload.Analyze(w.Name(), s.Trace(w), s.Scale, 64*1024, 0).Characteristics
+	})
+	return c
+}
+
 // Table2 reproduces the application characteristics table.
 func Table2(s *Suite) ([]Table2Row, *stats.Table) {
 	t := stats.NewTable("Table 2: Applications and their characteristics",
 		"Application", "Reuse % of a Page", "Total I/O (sim)", "Accesses")
 	var rows []Table2Row
 	for _, w := range s.Apps() {
-		a := workload.Analyze(w.Name(), s.Trace(w), s.Scale, 64*1024, 0)
+		a := s.characteristics(w)
 		r := Table2Row{
 			App:          w.Name(),
 			ReusePct:     a.ReusePct(),
@@ -86,7 +98,7 @@ func Figure7(s *Suite) ([]Figure7Row, *stats.Table) {
 		"Application", "Reuse %", "Pairs T1/T2/T3", "Evictions T1/T2/T3")
 	var rows []Figure7Row
 	for _, w := range s.Apps() {
-		a := workload.Analyze(w.Name(), s.Trace(w), s.Scale, 64*1024, 0)
+		a := s.characteristics(w)
 		r := Figure7Row{App: w.Name(), ReusePct: a.ReusePct()}
 		r.PairShort, r.PairMedium, r.PairLong = a.PairFractions()
 		r.EvictShort, r.EvictMedium, r.EvictLong = a.EvictFractions()

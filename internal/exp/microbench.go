@@ -22,15 +22,17 @@ type Figure4Result struct {
 	Alternating    int // pages whose successive RRDs alternate up/down
 }
 
-// Figure4 instruments MultiVectorAdd and PageRank exactly as §2.1.3's
-// motivating study does.
-func Figure4(s *Suite) ([]Figure4Result, *stats.Table) {
-	t := stats.NewTable("Figure 4: VTD vs reuse distance (a) and per-page eviction RRD patterns (b, c)",
-		"Application", "Slope m", "Offset b", "Pearson r", "Pages sampled", "Constant-RRD", "Alternating")
-	var out []Figure4Result
-	for _, name := range []string{"MultiVectorAdd", "PageRank"} {
-		w := appByName(s, name)
-		a := workload.Analyze(name, s.Trace(w), s.Scale, 64*1024, 20_000)
+// figure4Apps are the two applications §2.1.3's motivating study
+// instruments.
+var figure4Apps = []string{"MultiVectorAdd", "PageRank"}
+
+// figure4Result analyzes one application for Figure 4, once per
+// fingerprint; the memo keeps only the summary, not the analysis's
+// eviction and pair series.
+func (s *Suite) figure4Result(name string) Figure4Result {
+	res, _ := s.dataSuite().fig4.get(name+s.Fingerprint(), func() Figure4Result {
+		s.analyses.Add(1)
+		a := workload.Analyze(name, s.Trace(appByName(s, name)), s.Scale, 64*1024, 20_000)
 		m, b, r, _ := a.PairCorrelation()
 		res := Figure4Result{App: name, Slope: m, Offset: b, Correlation: r}
 		for _, series := range a.EvictionSeries(2) {
@@ -42,6 +44,19 @@ func Figure4(s *Suite) ([]Figure4Result, *stats.Table) {
 				res.Alternating++
 			}
 		}
+		return res
+	})
+	return res
+}
+
+// Figure4 instruments MultiVectorAdd and PageRank exactly as §2.1.3's
+// motivating study does.
+func Figure4(s *Suite) ([]Figure4Result, *stats.Table) {
+	t := stats.NewTable("Figure 4: VTD vs reuse distance (a) and per-page eviction RRD patterns (b, c)",
+		"Application", "Slope m", "Offset b", "Pearson r", "Pages sampled", "Constant-RRD", "Alternating")
+	var out []Figure4Result
+	for _, name := range figure4Apps {
+		res := s.figure4Result(name)
 		out = append(out, res)
 		t.AddRow(res.App, fmt.Sprintf("%.3f", res.Slope), fmt.Sprintf("%.1f", res.Offset),
 			fmt.Sprintf("%.3f", res.Correlation), fmt.Sprintf("%d", res.SeriesSampled),

@@ -22,22 +22,10 @@ const minPrefix = 64
 // results (valid across Tier-2 sweeps because BaM never consults
 // Tier-2 or the RNG). Derived sub-suites point at their root's cache,
 // so fig12's three ratio suites — or fig11's halved-tier suite and the
-// root — share entries. Both maps singleflight like Suite.memoRun.
+// root — share entries.
 type shareCache struct {
-	mu             sync.Mutex
-	prefixes       map[string]*prefixParent
-	prefixInflight map[string]chan struct{}
-	runs           map[string]stats.Run
-	runInflight    map[string]chan struct{}
-}
-
-func newShareCache() *shareCache {
-	return &shareCache{
-		prefixes:       make(map[string]*prefixParent),
-		prefixInflight: make(map[string]chan struct{}),
-		runs:           make(map[string]stats.Run),
-		runInflight:    make(map[string]chan struct{}),
-	}
+	prefixes memo[*prefixParent]
+	runs     memo[stats.Run]
 }
 
 // prefixParent is a frozen runtime that simulated one eviction-free
@@ -51,72 +39,6 @@ type prefixParent struct {
 	snap    sim.Snapshot
 	compute sim.Time
 	stall   sim.Time
-}
-
-func (c *shareCache) prefix(key string, compute func() *prefixParent) *prefixParent {
-	for {
-		c.mu.Lock()
-		if p, ok := c.prefixes[key]; ok {
-			c.mu.Unlock()
-			return p
-		}
-		if ch, ok := c.prefixInflight[key]; ok {
-			c.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		c.prefixInflight[key] = ch
-		c.mu.Unlock()
-
-		var p *prefixParent
-		func() {
-			defer func() {
-				c.mu.Lock()
-				delete(c.prefixInflight, key)
-				c.mu.Unlock()
-				close(ch)
-			}()
-			p = compute()
-			c.mu.Lock()
-			c.prefixes[key] = p
-			c.mu.Unlock()
-		}()
-		return p
-	}
-}
-
-func (c *shareCache) run(key string, compute func() stats.Run) stats.Run {
-	for {
-		c.mu.Lock()
-		if r, ok := c.runs[key]; ok {
-			c.mu.Unlock()
-			return r
-		}
-		if ch, ok := c.runInflight[key]; ok {
-			c.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		c.runInflight[key] = ch
-		c.mu.Unlock()
-
-		var r stats.Run
-		func() {
-			defer func() {
-				c.mu.Lock()
-				delete(c.runInflight, key)
-				c.mu.Unlock()
-				close(ch)
-			}()
-			r = compute()
-			c.mu.Lock()
-			c.runs[key] = r
-			c.mu.Unlock()
-		}()
-		return r
-	}
 }
 
 // dataSuite returns the suite whose workloads and traces s consumes:
@@ -174,7 +96,8 @@ func phasedEligible(cfg core.Config) bool {
 func (s *Suite) simulate(w workload.Workload, cfg core.Config) stats.Run {
 	if cfg.Policy == core.PolicyBaM && cfg.RNG == nil && !s.NoFork {
 		key := fmt.Sprintf("bam|%s|gpu=%+v|cfg=%+v", s.dataKey(w), s.GPU, core.PrefixConfig(cfg))
-		return s.share.run(key, func() stats.Run { return s.runMono(w, cfg) })
+		r, _ := s.share.runs.get(key, func() stats.Run { return s.runMono(w, cfg) })
+		return r
 	}
 	if s.phased && phasedEligible(cfg) {
 		return s.runPhased(w, cfg)
@@ -302,7 +225,7 @@ func (s *Suite) prefixFor(w workload.Workload, tr []gpu.Access, k int, cfg core.
 	canon := core.PrefixConfig(cfg)
 	gcfg := s.GPU
 	key := fmt.Sprintf("%s|gpu=%+v|k=%d|cfg=%+v", s.dataKey(w), gcfg, k, canon)
-	return s.share.prefix(key, func() *prefixParent {
+	p, _ := s.share.prefixes.get(key, func() *prefixParent {
 		eng := sim.NewEngine()
 		rt := core.NewRuntime(eng, canon)
 		g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: tr[:k]}, rt)
@@ -318,6 +241,7 @@ func (s *Suite) prefixFor(w workload.Workload, tr []gpu.Access, k int, cfg core.
 			stall:   g.StallTime(),
 		}
 	})
+	return p
 }
 
 // WarmPrefix simulates (and caches) the canonical warm-up parent a
@@ -350,7 +274,7 @@ func (s *Suite) RunConfigPhased(key string, w workload.Workload, cfg core.Config
 	if cfg.FootprintPages == 0 {
 		cfg.FootprintPages = int(w.Pages())
 	}
-	return s.memoRun(w.Name()+"/"+key, func() stats.Run {
+	return memoRun(s, &s.results, w.Name()+"/"+key, func() stats.Run {
 		if phasedEligible(cfg) {
 			return s.runPhased(w, cfg)
 		}

@@ -15,13 +15,18 @@ var ExperimentNames = []string{
 	"predictors", "warmup", "util", "kvserve",
 }
 
-// Job is one unit of prewarm work: a single trace generation or
-// simulation, self-contained (it builds its own engine and RNG from the
-// suite configuration) and safe to run concurrently with any other job.
-// Running a job only fills the suite memo; rendering afterwards reads
-// the same memo, so output is identical whether or not the job ran.
+// Job is one unit of prewarm work: a single trace generation, trace
+// analysis or simulation, self-contained (it builds its own engine and
+// RNG from the suite configuration) and safe to run concurrently with
+// any other job. Running a job only fills a suite memo; rendering
+// afterwards reads the same memo, so output is identical whether or not
+// the job ran.
 type Job struct {
-	Key string // unique across the plan; used for dedup and reporting
+	// Key is unique across the plan; used for dedup, reporting and the
+	// job's profiler labels. Planner keys read
+	// "<suite>|<kind>|<app>[/<detail>]"; prefix-parent keys read
+	// "prefix|<app>@<scale>|...".
+	Key string
 	Run func()
 }
 
@@ -43,10 +48,13 @@ type Phase struct {
 // first (the Kronecker/CSR graph build rides along via the lazy
 // GraphSet), then the shared warm-up prefix parents of phased sweeps
 // (so the simulate fan-out forks instead of serializing on prefix
-// singleflights), then all statically known simulations, then dependent
-// simulations. The plan is an optimization only — any job the planner
-// misses is computed lazily (and sequentially) when the experiment
-// renders, so results never depend on planner completeness.
+// singleflights), then every statically known computation — the
+// simulations and the per-app trace analyses of Table 2 and Figures 4
+// and 7 — then dependent simulations. Every computation a driver reads
+// is planned, so rendering after a prewarm is a pure memo read. The
+// plan is still an optimization only: a job the planner misses is
+// computed lazily (and sequentially) from the same memo when the
+// experiment renders, so results never depend on planner completeness.
 func Plan(s *Suite, experiments []string) []Phase {
 	pl := &planner{seen: map[string]bool{}}
 	for _, e := range experiments {
@@ -105,8 +113,16 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 		// Configuration-only: no traces, no simulations.
 	case "table2", "fig7":
 		pl.addTraces(s, appNames(s))
+		for _, w := range s.Apps() {
+			w := w
+			pl.addSim(s.label+"|analyze|"+w.Name(), func() { s.characteristics(w) })
+		}
 	case "fig4":
-		pl.addTraces(s, []string{"MultiVectorAdd", "PageRank"})
+		pl.addTraces(s, figure4Apps)
+		for _, n := range figure4Apps {
+			n := n
+			pl.addSim(s.label+"|analyze|"+n+"/fig4", func() { s.figure4Result(n) })
+		}
 	case "fig8", "fig10", "util":
 		pl.addPolicySweep(s, appNames(s), allPolicies())
 	case "fig9":
@@ -145,15 +161,9 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 	case "oracle":
 		pl.addPolicySweep(s, appNames(s),
 			[]core.PolicyKind{core.PolicyBaM, core.PolicyReuse})
-		for _, n := range appNames(s) {
-			n := n
-			key := s.label + "|oracle|" + n
-			if pl.seen[key] {
-				continue
-			}
-			pl.seen[key] = true
-			w := appByName(s, n)
-			pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.RunOracle(w) }})
+		for _, w := range s.Apps() {
+			w := w
+			pl.addSim(s.label+"|oracle|"+w.Name(), func() { s.RunOracle(w) })
 		}
 	case "ext":
 		pl.addPolicySweep(s, appNames(s), []core.PolicyKind{core.PolicyReuse})
@@ -193,11 +203,18 @@ func (pl *planner) addExperiment(s *Suite, name string) {
 			pl.addConfigPhased(s, workload.KVServeName, key, cfg)
 		}
 	case "warmup":
-		// The warmup study's pipelined/unpipelined runs need the
-		// runtime's history, which the memo doesn't carry, so only
-		// the BaM baselines (and traces) can be prewarmed.
-		pl.addPolicySweep(s, []string{"Srad", "Backprop", "MultiVectorAdd"},
-			[]core.PolicyKind{core.PolicyBaM})
+		// The pipelining study's runs memoize the early hit rate they
+		// read off the runtime's history (warmupRun), so they prewarm
+		// like any other simulation.
+		pl.addPolicySweep(s, warmupApps, []core.PolicyKind{core.PolicyBaM})
+		for _, n := range warmupApps {
+			w := appByName(s, n)
+			for _, unpipelined := range []bool{false, true} {
+				unpipelined := unpipelined
+				pl.addSim(fmt.Sprintf("%s|warmup|%s/%v", s.label, n, unpipelined),
+					func() { s.warmupRun(w, unpipelined) })
+			}
+		}
 	}
 }
 
@@ -243,13 +260,8 @@ func (pl *planner) addPolicySweep(s *Suite, names []string, policies []core.Poli
 			if s.phased {
 				pl.addPrefix(s, n, s.config(p))
 			}
-			key := s.label + "|run|" + n + "/" + p.String()
-			if pl.seen[key] {
-				continue
-			}
-			pl.seen[key] = true
 			w := appByName(s, n)
-			pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.Run(w, p) }})
+			pl.addSim(s.label+"|run|"+n+"/"+p.String(), func() { s.Run(w, p) })
 		}
 	}
 }
@@ -277,13 +289,8 @@ func (pl *planner) addPrefix(s *Suite, name string, cfg core.Config) {
 
 func (pl *planner) addConfig(s *Suite, name, cfgKey string, cfg core.Config) {
 	pl.addTrace(s, name)
-	key := s.label + "|cfg|" + name + "/" + cfgKey
-	if pl.seen[key] {
-		return
-	}
-	pl.seen[key] = true
 	w := appByName(s, name)
-	pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.RunConfig(cfgKey, w, cfg) }})
+	pl.addSim(s.label+"|cfg|"+name+"/"+cfgKey, func() { s.RunConfig(cfgKey, w, cfg) })
 }
 
 // addConfigPhased is addConfig for grids run via RunConfigPhased; it
@@ -291,23 +298,24 @@ func (pl *planner) addConfig(s *Suite, name, cfgKey string, cfg core.Config) {
 func (pl *planner) addConfigPhased(s *Suite, name, cfgKey string, cfg core.Config) {
 	pl.addTrace(s, name)
 	pl.addPrefix(s, name, cfg)
-	key := s.label + "|cfg|" + name + "/" + cfgKey
-	if pl.seen[key] {
-		return
-	}
-	pl.seen[key] = true
 	w := appByName(s, name)
-	pl.sims = append(pl.sims, Job{Key: key, Run: func() { s.RunConfigPhased(cfgKey, w, cfg) }})
+	pl.addSim(s.label+"|cfg|"+name+"/"+cfgKey, func() { s.RunConfigPhased(cfgKey, w, cfg) })
 }
 
 func (pl *planner) addHMM(s *Suite, name string, rate float64) {
 	pl.addTrace(s, name)
 	j := hmmJob(s, appByName(s, name), rate)
-	if pl.seen[j.Key] {
+	pl.addSim(j.Key, j.Run)
+}
+
+// addSim queues a job in the simulate phase unless the plan already
+// holds its key.
+func (pl *planner) addSim(key string, run func()) {
+	if pl.seen[key] {
 		return
 	}
-	pl.seen[j.Key] = true
-	pl.sims = append(pl.sims, j)
+	pl.seen[key] = true
+	pl.sims = append(pl.sims, Job{Key: key, Run: run})
 }
 
 func hmmJob(s *Suite, w workload.Workload, rate float64) Job {

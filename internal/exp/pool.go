@@ -2,6 +2,8 @@ package exp
 
 import (
 	"context"
+	"runtime/pprof"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -9,10 +11,10 @@ import (
 // This file is the concurrency boundary of the repository: goroutines
 // exist here (and nowhere below). Each job owns a private sim.Engine —
 // the simulator packages stay single-goroutine — and only the Suite
-// memo is shared, under its lock. Because jobs merely fill the memo and
-// rendering replays the same sequential reads afterwards, output is
-// byte-identical to a sequential run regardless of worker count or
-// scheduling order.
+// memos are shared, each under its own lock (memo.go). Because jobs
+// merely fill the memos and rendering replays the same sequential reads
+// afterwards, output is byte-identical to a sequential run regardless
+// of worker count or scheduling order.
 
 // PhaseReport summarizes one executed phase of a prewarm.
 type PhaseReport struct {
@@ -81,7 +83,7 @@ func Prewarm(ctx context.Context, s *Suite, experiments []string, workers int, c
 			continue
 		}
 		phaseStart := clock()
-		busy, jerr := runJobs(ctx, jobs, workers, clock, rep.WorkerBusyNS)
+		busy, jerr := runJobs(ctx, ph.Name, jobs, workers, clock, rep.WorkerBusyNS)
 		rep.BusyNS += busy
 		rep.Phases = append(rep.Phases, PhaseReport{
 			Name: ph.Name, Jobs: len(jobs), WallNS: clock() - phaseStart,
@@ -129,7 +131,7 @@ func RunJobs(ctx context.Context, jobs []Job, workers int, clock func() int64) (
 		clock = func() int64 { return 0 }
 	}
 	rep := PoolReport{Workers: workers, WorkerBusyNS: make([]int64, workers)}
-	busy, err := runJobs(ctx, jobs, workers, clock, rep.WorkerBusyNS)
+	busy, err := runJobs(ctx, "", jobs, workers, clock, rep.WorkerBusyNS)
 	rep.BusyNS = busy
 	return rep, err
 }
@@ -142,7 +144,11 @@ func RunJobs(ctx context.Context, jobs []Job, workers int, clock func() int64) (
 // same way it would sequentially. Workers check ctx before claiming
 // each job; on cancellation the remaining jobs are skipped, already
 // started jobs finish, and ctx.Err() is returned after the pool drains.
-func runJobs(ctx context.Context, jobs []Job, workers int, clock func() int64, workerBusy []int64) (int64, error) {
+//
+// Each job runs under the profiler labels phase, kind and app (see
+// jobLabels), so `go tool pprof -tagfocus` can split a CPU profile of a
+// prewarm per phase, job kind or application.
+func runJobs(ctx context.Context, phase string, jobs []Job, workers int, clock func() int64, workerBusy []int64) (int64, error) {
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -165,7 +171,7 @@ func runJobs(ctx context.Context, jobs []Job, workers int, clock func() int64, w
 					return
 				}
 				t0 := clock()
-				jobs[n].Run()
+				pprof.Do(ctx, jobLabels(phase, jobs[n].Key), func(context.Context) { jobs[n].Run() })
 				d := clock() - t0
 				atomic.AddInt64(&busy, d)
 				if workerBusy != nil {
@@ -182,4 +188,34 @@ func runJobs(ctx context.Context, jobs []Job, workers int, clock func() int64, w
 		panic(r)
 	}
 	return atomic.LoadInt64(&busy), ctx.Err()
+}
+
+// jobLabels derives a job's profiler labels from the phase it runs in
+// and its key (see Job.Key): kind is trace, prefix, run, cfg, hmm,
+// oracle, analyze or warmup, and app the application. A key of another
+// shape (RunJobs callers plan their own) and an empty phase add no
+// label.
+func jobLabels(phase, key string) pprof.LabelSet {
+	var kv []string
+	if phase != "" {
+		kv = append(kv, "phase", phase)
+	}
+	if kind, app, ok := jobKindApp(key); ok {
+		kv = append(kv, "kind", kind, "app", app)
+	}
+	return pprof.Labels(kv...)
+}
+
+// jobKindApp splits a planner key into its job kind and application.
+func jobKindApp(key string) (kind, app string, ok bool) {
+	parts := strings.SplitN(key, "|", 4)
+	if len(parts) < 3 {
+		return "", "", false
+	}
+	if parts[0] == "prefix" {
+		app, _, _ = strings.Cut(parts[1], "@")
+		return "prefix", app, true
+	}
+	app, _, _ = strings.Cut(parts[2], "/")
+	return parts[1], app, true
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -27,7 +29,7 @@ func TestRunJobsObservesCancellation(t *testing.T) {
 			atomic.AddInt64(&ran, 1)
 		}}
 	}
-	_, err := runJobs(ctx, jobs, 2, func() int64 { return 0 }, nil)
+	_, err := runJobs(ctx, "", jobs, 2, func() int64 { return 0 }, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runJobs error = %v, want context.Canceled", err)
 	}
@@ -47,7 +49,7 @@ func TestRunJobsWorkerBusyAccounting(t *testing.T) {
 		jobs[i] = Job{Key: fmt.Sprintf("job%d", i), Run: func() {}}
 	}
 	workerBusy := make([]int64, 3)
-	busy, err := runJobs(context.Background(), jobs, 3, clock, workerBusy)
+	busy, err := runJobs(context.Background(), "", jobs, 3, clock, workerBusy)
 	if err != nil {
 		t.Fatalf("runJobs error = %v", err)
 	}
@@ -63,6 +65,60 @@ func TestRunJobsWorkerBusyAccounting(t *testing.T) {
 	}
 	if sum != busy {
 		t.Fatalf("per-worker busy sums to %d, aggregate is %d", sum, busy)
+	}
+}
+
+// TestRunJobsProfilerLabels: each job runs under the profiler labels
+// phase, kind and app, which is what lets `go tool pprof -tagfocus`
+// split a CPU profile of a prewarm. The job reads its labels the way the
+// profiler sees them — off its own goroutine, through the goroutine
+// profile — and a job of another key shape carries only the phase.
+func TestRunJobsProfilerLabels(t *testing.T) {
+	goroutineLabels := func() string {
+		var b strings.Builder
+		if err := pprof.Lookup("goroutine").WriteTo(&b, 1); err != nil {
+			t.Error(err)
+		}
+		return b.String()
+	}
+	var planned, adhoc string
+	jobs := []Job{
+		{Key: "root/fig12/ratio2|warmup|Srad/false", Run: func() { planned = goroutineLabels() }},
+		{Key: "node-7", Run: func() { adhoc = goroutineLabels() }},
+	}
+	if _, err := runJobs(context.Background(), "simulate", jobs, 1, func() int64 { return 0 }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if want := `# labels: {"app":"Srad", "kind":"warmup", "phase":"simulate"}`; !strings.Contains(planned, want) {
+		t.Errorf("planned job's goroutine profile lacks %s:\n%s", want, planned)
+	}
+	if want := `# labels: {"phase":"simulate"}`; !strings.Contains(adhoc, want) {
+		t.Errorf("ad-hoc job's goroutine profile lacks %s:\n%s", want, adhoc)
+	}
+}
+
+// TestPlanJobLabels: every job the planner emits, for every experiment,
+// yields one of the known job kinds and an application of the suite.
+func TestPlanJobLabels(t *testing.T) {
+	s := NewSuite(workload.Scale{Tier1Pages: 128, Tier2Pages: 512, Oversubscription: 2})
+	kinds := map[string]bool{"trace": true, "prefix": true, "run": true, "cfg": true,
+		"hmm": true, "oracle": true, "analyze": true, "warmup": true}
+	apps := map[string]bool{workload.KVServeName: true}
+	for _, n := range workload.Names {
+		apps[n] = true
+	}
+	seen := map[string]bool{}
+	for _, ph := range Plan(s, ExperimentNames) {
+		for _, j := range ph.Jobs {
+			kind, app, ok := jobKindApp(j.Key)
+			if !ok || !kinds[kind] || !apps[app] {
+				t.Fatalf("job %q: kind %q, app %q", j.Key, kind, app)
+			}
+			seen[kind] = true
+		}
+	}
+	if len(seen) != len(kinds) {
+		t.Fatalf("planned kinds %v, want all of %v", seen, kinds)
 	}
 }
 

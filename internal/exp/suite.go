@@ -5,14 +5,15 @@
 //
 // A Suite is safe for concurrent use: the parallel prewarmer (pool.go)
 // runs many simulations at once, each on its own private sim.Engine, and
-// commits results into the memo under the suite lock. The simulator
-// packages themselves stay single-goroutine — concurrency lives entirely
-// at this orchestration layer (see HACKING.md).
+// commits results into the suite's singleflight memos (memo.go). The
+// simulator packages themselves stay single-goroutine — concurrency
+// lives entirely at this orchestration layer (see HACKING.md).
 package exp
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gmtsim/gmt/internal/baseline"
 	"github.com/gmtsim/gmt/internal/core"
@@ -69,31 +70,36 @@ type Suite struct {
 	unitMu sync.Mutex
 	units  []*runUnit
 
-	mu            sync.Mutex
-	traces        map[string][]gpu.Access
-	traceInflight map[string]chan struct{}
-	results       map[string]stats.Run
-	runInflight   map[string]chan struct{}
-	subs          map[string]*Suite
-	subOrder      []string
-	sims          int64 // simulations actually executed
-	hits          int64 // memoized results served
+	// mu guards kvApp and the sub-suite registry.
+	mu       sync.Mutex
+	subs     map[string]*Suite
+	subOrder []string
+
+	// The memos. traces is keyed by workload name (a trace depends on
+	// the dataset only); every other key carries the fingerprint. chars
+	// and fig4 hold only the small per-app analysis summaries the
+	// drivers print, never the raw eviction and pair series.
+	traces  memo[[]gpu.Access]
+	results memo[stats.Run]
+	warmups memo[warmupResult]
+	chars   memo[workload.Characteristics]
+	fig4    memo[Figure4Result]
+
+	sims     atomic.Int64 // simulations actually executed
+	hits     atomic.Int64 // memoized results served
+	analyses atomic.Int64 // trace analyses actually computed
 }
 
 // NewSuite builds the nine-application suite at the given scale.
 func NewSuite(scale workload.Scale) *Suite {
 	return &Suite{
-		Scale:         scale,
-		GPU:           gpu.DefaultConfig(),
-		Seed:          1,
-		label:         "root",
-		share:         newShareCache(),
-		apps:          workload.All(scale),
-		traces:        make(map[string][]gpu.Access),
-		traceInflight: make(map[string]chan struct{}),
-		results:       make(map[string]stats.Run),
-		runInflight:   make(map[string]chan struct{}),
-		subs:          make(map[string]*Suite),
+		Scale: scale,
+		GPU:   gpu.DefaultConfig(),
+		Seed:  1,
+		label: "root",
+		share: &shareCache{},
+		apps:  workload.All(scale),
+		subs:  make(map[string]*Suite),
 	}
 }
 
@@ -137,111 +143,37 @@ func (s *Suite) Trace(w workload.Workload) []gpu.Access {
 	if s.data != nil {
 		return s.data.Trace(w)
 	}
-	name := w.Name()
-	for {
-		s.mu.Lock()
-		if tr, ok := s.traces[name]; ok {
-			s.mu.Unlock()
-			return tr
-		}
-		if ch, ok := s.traceInflight[name]; ok {
-			s.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		s.traceInflight[name] = ch
-		s.mu.Unlock()
-
-		var tr []gpu.Access
-		func() {
-			defer func() {
-				s.mu.Lock()
-				delete(s.traceInflight, name)
-				s.mu.Unlock()
-				close(ch)
-			}()
-			tr = w.Trace()
-			s.mu.Lock()
-			s.traces[name] = tr
-			s.mu.Unlock()
-		}()
-		return tr
-	}
+	tr, _ := s.traces.get(w.Name(), w.Trace)
+	return tr
 }
 
-// memoRun returns the cached result for key at the current fingerprint,
-// or computes it via compute. Exactly one goroutine computes a given
-// key; others requesting it block until the result is committed. If the
-// computer panics, waiters retry (and typically re-panic the same way).
-func (s *Suite) memoRun(key string, compute func() stats.Run) stats.Run {
-	full := key + s.Fingerprint()
-	for {
-		s.mu.Lock()
-		if r, ok := s.results[full]; ok {
-			s.hits++
-			s.mu.Unlock()
-			return r
-		}
-		if ch, ok := s.runInflight[full]; ok {
-			s.mu.Unlock()
-			<-ch
-			continue
-		}
-		ch := make(chan struct{})
-		s.runInflight[full] = ch
-		s.mu.Unlock()
-
-		var r stats.Run
-		func() {
-			defer func() {
-				s.mu.Lock()
-				delete(s.runInflight, full)
-				s.mu.Unlock()
-				close(ch)
-			}()
-			r = compute()
-			s.mu.Lock()
-			s.results[full] = r
-			s.sims++
-			s.mu.Unlock()
-		}()
-		return r
+// memoRun returns m's value for key at s's current fingerprint,
+// computing it via compute on first use, and counts the call as a
+// simulation executed or a memo hit. Exactly one goroutine computes a
+// given key (see memo).
+func memoRun[V any](s *Suite, m *memo[V], key string, compute func() V) V {
+	v, computed := m.get(key+s.Fingerprint(), compute)
+	if computed {
+		s.sims.Add(1)
+	} else {
+		s.hits.Add(1)
 	}
-}
-
-// storeResult commits an externally computed run into the memo under the
-// current fingerprint (used by drivers whose simulations need more than
-// the Run snapshot, e.g. RegressionWarmup's history inspection).
-func (s *Suite) storeResult(key string, m stats.Run) {
-	full := key + s.Fingerprint()
-	s.mu.Lock()
-	s.results[full] = m
-	s.sims++
-	s.mu.Unlock()
+	return v
 }
 
 // Simulations reports how many simulations this suite has executed
 // (memo misses; excludes derived sub-suites).
-func (s *Suite) Simulations() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sims
-}
+func (s *Suite) Simulations() int64 { return s.sims.Load() }
 
 // CacheHits reports how many results were served from the memo
 // (excludes derived sub-suites).
-func (s *Suite) CacheHits() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
-}
+func (s *Suite) CacheHits() int64 { return s.hits.Load() }
 
 // Counters reports simulations executed and memo hits, aggregated over
 // this suite and every derived sub-suite.
 func (s *Suite) Counters() (sims, hits int64) {
+	sims, hits = s.sims.Load(), s.hits.Load()
 	s.mu.Lock()
-	sims, hits = s.sims, s.hits
 	subs := make([]*Suite, 0, len(s.subOrder))
 	for _, k := range s.subOrder {
 		subs = append(subs, s.subs[k])
@@ -302,7 +234,7 @@ func (s *Suite) config(p core.PolicyKind) core.Config {
 func (s *Suite) Run(w workload.Workload, p core.PolicyKind) stats.Run {
 	cfg := s.config(p)
 	cfg.FootprintPages = int(w.Pages())
-	return s.memoRun(w.Name()+"/"+p.String(), func() stats.Run {
+	return memoRun(s, &s.results, w.Name()+"/"+p.String(), func() stats.Run {
 		return s.simulate(w, cfg)
 	})
 }
@@ -321,7 +253,7 @@ func (s *Suite) RunHMM(w workload.Workload, forcedHitRate float64) stats.Run {
 	cfg.FootprintPages = int(w.Pages())
 	gcfg := s.GPU
 	key := fmt.Sprintf("%s/HMM/%.3f", w.Name(), forcedHitRate)
-	return s.memoRun(key, func() stats.Run {
+	return memoRun(s, &s.results, key, func() stats.Run {
 		eng := sim.NewEngine()
 		h := baseline.NewHMM(eng, cfg)
 		g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: s.Trace(w)}, h)

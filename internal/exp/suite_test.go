@@ -117,44 +117,34 @@ func TestPlanGraphTraceFirst(t *testing.T) {
 }
 
 // TestPrewarmCoversRendering is the planner-drift gate: after a prewarm
-// of every suite-backed experiment, rendering those experiments must be
-// served entirely from the memo — zero additional simulations. If a
-// driver grows a new run that the planner doesn't know about, this
-// fails.
+// of every experiment, rendering must be a pure memo read — zero
+// additional simulations and zero trace analyses, on the first render
+// and on a second one. If a driver grows a computation the planner
+// doesn't know about, or one its memo doesn't hold, this fails.
 func TestPrewarmCoversRendering(t *testing.T) {
 	s := NewSuite(workload.Scale{Tier1Pages: 128, Tier2Pages: 512, Oversubscription: 2})
-	// warmup is excluded: its pipelined-regression runs need runtime
-	// history the memo doesn't carry, so they always run at render time.
-	exps := []string{"table1", "table2", "fig4", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "oracle", "ext", "ssd", "predictors", "util"}
-	rep, err := Prewarm(context.Background(), s, exps, 3, nil)
+	rep, err := Prewarm(context.Background(), s, ExperimentNames, 3, nil)
 	if err != nil {
 		t.Fatalf("prewarm failed: %v", err)
 	}
-	if rep.JobsPlanned == 0 || rep.Sims == 0 {
-		t.Fatalf("prewarm did nothing: %+v", rep)
+	if rep.JobsPlanned == 0 || rep.Sims == 0 || s.analyses.Load() == 0 {
+		t.Fatalf("prewarm did nothing: %+v, %d analyses", rep, s.analyses.Load())
 	}
-	sims0, _ := s.Counters()
-	Table1(s)
-	Table2(s)
-	Figure4(s)
-	Figure7(s)
-	Figure8(s)
-	Figure9(s)
-	Figure10(s)
-	Figure11(s)
-	Figure12(s)
-	Figure13(s)
-	Figure14(s)
-	OracleGap(s)
-	Extensions(s)
-	SSDSensitivity(s)
-	SSDCountSweep(s)
-	PredictorAblation(s)
-	Utilization(s)
-	sims1, _ := s.Counters()
-	if sims1 != sims0 {
-		t.Fatalf("rendering ran %d simulations the planner missed", sims1-sims0)
+	for render := 1; render <= 2; render++ {
+		sims0, _ := s.Counters()
+		analyses0 := s.analyses.Load()
+		for _, name := range ExperimentNames {
+			if _, _, ok := RunExperiment(func() *Suite { return s }, name, nil); !ok {
+				t.Fatalf("unknown experiment %q", name)
+			}
+		}
+		sims1, _ := s.Counters()
+		if sims1 != sims0 {
+			t.Fatalf("render %d ran %d simulations the planner missed", render, sims1-sims0)
+		}
+		if n := s.analyses.Load() - analyses0; n != 0 {
+			t.Fatalf("render %d ran %d trace analyses the planner missed", render, n)
+		}
 	}
 }
 
@@ -167,7 +157,7 @@ func TestRunJobsPanicPropagates(t *testing.T) {
 		}
 	}()
 	zero := func() int64 { return 0 }
-	runJobs(context.Background(), []Job{
+	runJobs(context.Background(), "", []Job{
 		{Key: "ok", Run: func() {}},
 		{Key: "bad", Run: func() { panic("boom") }},
 	}, 2, zero, nil)

@@ -15,14 +15,9 @@ import "github.com/gmtsim/gmt/internal/tier"
 // It is the model of the dedicated CPU thread that consumes GPU-pushed
 // samples and converts VTDs into true reuse distances.
 type DistanceTracker struct {
-	// last holds the most recent access position per page, dense-indexed
-	// by page ID per the bounded-page-ID contract (-1 = unseen); the rare
-	// negative ID (e.g. a barrier marker fed by an offline analysis)
-	// falls back to lastNeg.
-	last    []int64
-	lastNeg map[tier.PageID]int
-	bit     fenwick
-	pos     int
+	last PagePositions // most recent access position per page
+	bit  fenwick
+	pos  int
 }
 
 // NewDistanceTracker returns an empty tracker.
@@ -35,7 +30,7 @@ func NewDistanceTracker() *DistanceTracker {
 func (t *DistanceTracker) Observe(p tier.PageID) (vtd, rd int64, ok bool) {
 	cur := t.pos
 	t.pos++
-	lp, seen := t.lookup(p)
+	lp, seen := t.last.Get(p)
 	if seen {
 		vtd = int64(cur - lp)
 		// Distinct pages accessed strictly between the two accesses of
@@ -45,74 +40,20 @@ func (t *DistanceTracker) Observe(p tier.PageID) (vtd, rd int64, ok bool) {
 		t.bit.Add(lp, -1)
 	}
 	t.bit.Add(cur, 1)
-	t.store(p, cur)
+	t.last.Set(p, cur)
 	return vtd, rd, ok
-}
-
-// lookup reports p's most recent access position.
-func (t *DistanceTracker) lookup(p tier.PageID) (int, bool) {
-	if p < 0 {
-		lp, seen := t.lastNeg[p]
-		return lp, seen
-	}
-	if int64(p) >= int64(len(t.last)) {
-		return 0, false
-	}
-	lp := t.last[p]
-	return int(lp), lp >= 0
-}
-
-// store records p's access position.
-func (t *DistanceTracker) store(p tier.PageID, cur int) {
-	if p < 0 {
-		if t.lastNeg == nil {
-			t.lastNeg = make(map[tier.PageID]int)
-		}
-		t.lastNeg[p] = cur
-		return
-	}
-	if int64(p) >= int64(len(t.last)) {
-		t.grow(int(p))
-	}
-	t.last[p] = int64(cur)
-}
-
-// grow widens the dense position table to cover page ID p.
-//
-//gmt:coldpath
-func (t *DistanceTracker) grow(p int) {
-	n := 2 * len(t.last)
-	if n < 64 {
-		n = 64
-	}
-	if n <= p {
-		n = p + 1
-	}
-	nv := make([]int64, n)
-	copy(nv, t.last)
-	for i := len(t.last); i < n; i++ {
-		nv[i] = -1
-	}
-	t.last = nv
 }
 
 // Clone returns a deep copy of the tracker.
 func (t *DistanceTracker) Clone() *DistanceTracker {
-	nt := &DistanceTracker{
-		last: append([]int64(nil), t.last...),
+	return &DistanceTracker{
+		last: t.last.clone(),
 		pos:  t.pos,
+		bit: fenwick{
+			tree: append([]int64(nil), t.bit.tree...),
+			raw:  append([]int64(nil), t.bit.raw...),
+		},
 	}
-	if t.lastNeg != nil {
-		nt.lastNeg = make(map[tier.PageID]int, len(t.lastNeg))
-		for p, v := range t.lastNeg {
-			nt.lastNeg[p] = v
-		}
-	}
-	nt.bit = fenwick{
-		tree: append([]int64(nil), t.bit.tree...),
-		raw:  append([]int64(nil), t.bit.raw...),
-	}
-	return nt
 }
 
 // Accesses reports how many accesses have been observed.
@@ -129,29 +70,116 @@ type RangeQuery struct {
 // to compute actual Remaining Reuse Distances at Tier-1 eviction points
 // (Figures 4b, 4c, and 7): the RRD of an eviction at position e whose
 // page is next accessed at position n is the distinct count in (e, n].
+// A query whose To lies outside the trace is answered with -1.
 func DistinctInRanges(trace []tier.PageID, queries []RangeQuery) []int64 {
 	ans := make([]int64, len(queries))
-	// Bucket queries by right endpoint.
-	byRight := make(map[int][]int)
+	// Bucket queries by right endpoint with a counting sort: after the
+	// fill below, the queries ending at t are order[end[t-1]:end[t]]
+	// (with end[-1] = 0).
+	end := make([]int, len(trace))
+	valid := 0
 	for i, q := range queries {
 		if q.To >= len(trace) || q.To < 0 {
 			ans[i] = -1
 			continue
 		}
-		byRight[q.To] = append(byRight[q.To], i)
+		if q.To+1 < len(trace) {
+			end[q.To+1]++
+		}
+		valid++
+	}
+	for t := 1; t < len(end); t++ {
+		end[t] += end[t-1]
+	}
+	order := make([]int, valid)
+	for i, q := range queries {
+		if ans[i] == 0 {
+			order[end[q.To]] = i
+			end[q.To]++
+		}
 	}
 	var bit fenwick
-	last := make(map[tier.PageID]int, len(trace)/4+1)
+	bit.grow(len(trace))
+	var last PagePositions
+	lo := 0
 	for t, p := range trace {
-		if lp, seen := last[p]; seen {
+		if lp, seen := last.Get(p); seen {
 			bit.Add(lp, -1)
 		}
 		bit.Add(t, 1)
-		last[p] = t
-		for _, qi := range byRight[t] {
-			q := queries[qi]
-			ans[qi] = bit.RangeSum(q.From+1, q.To)
+		last.Set(p, t)
+		for _, qi := range order[lo:end[t]] {
+			ans[qi] = bit.RangeSum(queries[qi].From+1, t)
 		}
+		lo = end[t]
 	}
 	return ans
+}
+
+// PagePositions maps page IDs to trace positions. It is dense-indexed
+// by page ID per the bounded-page-ID contract; the rare negative ID
+// (e.g. a barrier marker fed by an offline analysis) falls back to a
+// map. The zero value is empty.
+type PagePositions struct {
+	dense []int64 // -1 = unset
+	neg   map[tier.PageID]int
+}
+
+// Get reports p's recorded position.
+func (t *PagePositions) Get(p tier.PageID) (int, bool) {
+	if p < 0 {
+		pos, ok := t.neg[p]
+		return pos, ok
+	}
+	if int64(p) >= int64(len(t.dense)) {
+		return 0, false
+	}
+	pos := t.dense[p]
+	return int(pos), pos >= 0
+}
+
+// Set records p's position.
+func (t *PagePositions) Set(p tier.PageID, pos int) {
+	if p < 0 {
+		if t.neg == nil {
+			t.neg = make(map[tier.PageID]int)
+		}
+		t.neg[p] = pos
+		return
+	}
+	if int64(p) >= int64(len(t.dense)) {
+		t.grow(int(p))
+	}
+	t.dense[p] = int64(pos)
+}
+
+// grow widens the dense table to cover page ID p.
+//
+//gmt:coldpath
+func (t *PagePositions) grow(p int) {
+	n := 2 * len(t.dense)
+	if n < 64 {
+		n = 64
+	}
+	if n <= p {
+		n = p + 1
+	}
+	nv := make([]int64, n)
+	copy(nv, t.dense)
+	for i := len(t.dense); i < n; i++ {
+		nv[i] = -1
+	}
+	t.dense = nv
+}
+
+// clone returns a deep copy.
+func (t *PagePositions) clone() PagePositions {
+	c := PagePositions{dense: append([]int64(nil), t.dense...)}
+	if t.neg != nil {
+		c.neg = make(map[tier.PageID]int, len(t.neg))
+		for p, v := range t.neg {
+			c.neg[p] = v
+		}
+	}
+	return c
 }

@@ -126,11 +126,7 @@ func TestDistinctInRangesMatchesNaive(t *testing.T) {
 		}
 		got := DistinctInRanges(trace, qs)
 		for i, q := range qs {
-			distinct := map[tier.PageID]struct{}{}
-			for j := q.From + 1; j <= q.To; j++ {
-				distinct[trace[j]] = struct{}{}
-			}
-			if got[i] != int64(len(distinct)) {
+			if got[i] != naiveDistinct(trace, q) {
 				return false
 			}
 		}
@@ -139,6 +135,48 @@ func TestDistinctInRangesMatchesNaive(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// naiveDistinct is DistinctInRanges' reference: the distinct pages in
+// trace positions (q.From, q.To], or -1 when To lies outside the trace.
+func naiveDistinct(trace []tier.PageID, q RangeQuery) int64 {
+	if q.To < 0 || q.To >= len(trace) {
+		return -1
+	}
+	distinct := map[tier.PageID]struct{}{}
+	for j := q.From + 1; j <= q.To; j++ {
+		distinct[trace[j]] = struct{}{}
+	}
+	return int64(len(distinct))
+}
+
+// FuzzDistinctInRanges drives DistinctInRanges against the naive
+// reference. The input's first half is the trace, one page per byte
+// (IDs past 64 exercise the dense position table's growth); the second
+// half is pairs of query bytes, whose To may fall past the trace's end.
+func FuzzDistinctInRanges(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 0, 1, 3, 0, 3, 0, 5, 2, 7})
+	f.Add([]byte{4, 4, 4, 4, 0, 3, 1, 1, 2, 9})
+	f.Add([]byte{200, 17, 200, 255, 0, 2, 1, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		half := len(data) / 2
+		trace := make([]tier.PageID, half)
+		for i, b := range data[:half] {
+			trace[i] = tier.PageID(b)
+		}
+		var qs []RangeQuery
+		for i := half; i+1 < len(data); i += 2 {
+			to := int(data[i+1]) % (half + 2)
+			from := int(data[i])%(to+2) - 1 // -1 <= From <= To
+			qs = append(qs, RangeQuery{From: from, To: to})
+		}
+		got := DistinctInRanges(trace, qs)
+		for i, q := range qs {
+			if want := naiveDistinct(trace, q); got[i] != want {
+				t.Fatalf("query %+v over %v = %d, want %d", q, trace, got[i], want)
+			}
+		}
+	})
 }
 
 func TestDistinctInRangesOutOfBounds(t *testing.T) {

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"sort"
 
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/reuse"
@@ -95,15 +94,24 @@ func Analyze(name string, trace []gpu.Access, s Scale, pageSize int64, maxPairs 
 	a.Accesses = int64(len(trace))
 	a.TotalIOBytes = a.Accesses * pageSize
 
-	// Pass 1: per-page access positions, access-pair distances.
-	positions := make(map[tier.PageID][]int)
+	// Pass 1: access-pair distances, and each position's next use of
+	// the same page (-1 = none). The tracker knows each page's previous
+	// access: it lies vtd positions back.
+	nextUse := make([]int, len(trace))
+	var firsts []int // each distinct page's first access position
+	var maxPage tier.PageID = -1
 	tr := reuse.NewDistanceTracker()
 	for i, acc := range trace {
-		positions[acc.Page] = append(positions[acc.Page], i)
+		nextUse[i] = -1
+		if acc.Page > maxPage {
+			maxPage = acc.Page
+		}
 		vtd, rd, ok := tr.Observe(acc.Page)
 		if !ok {
+			firsts = append(firsts, i)
 			continue
 		}
+		nextUse[i-int(vtd)] = i
 		switch cl.Classify(rd) {
 		case reuse.Short:
 			a.PairShort++
@@ -116,23 +124,18 @@ func Analyze(name string, trace []gpu.Access, s Scale, pageSize int64, maxPairs 
 			a.Pairs = append(a.Pairs, PairSample{VTD: vtd, RD: rd})
 		}
 	}
-	a.DistinctPages = int64(len(positions))
-	for _, pos := range positions {
-		if len(pos) > 1 {
+	a.DistinctPages = int64(len(firsts))
+	for _, f := range firsts {
+		if nextUse[f] >= 0 {
 			a.ReusedPages++
-		}
-	}
-	var maxPage tier.PageID = -1
-	for p := range positions {
-		if p > maxPage {
-			maxPage = p
 		}
 	}
 	a.Characteristics.Pages = int64(maxPage) + 1
 
 	// Pass 2: simulate a Tier-1 clock over the trace, recording
 	// evictions, then compute each eviction's actual RRD (distinct
-	// pages between eviction and next access) with the offline tree.
+	// pages between eviction and next access) with the offline tree. An
+	// evicted page's next access is the next use of its latest access.
 	clock := tier.NewClock(s.Tier1Pages)
 	type evict struct {
 		page tier.PageID
@@ -140,9 +143,11 @@ func Analyze(name string, trace []gpu.Access, s Scale, pageSize int64, maxPairs 
 		next int
 	}
 	var evicts []evict
+	var lastPos reuse.PagePositions
 	pageTrace := make([]tier.PageID, len(trace))
 	for i, acc := range trace {
 		pageTrace[i] = acc.Page
+		lastPos.Set(acc.Page, i) // a victim is never acc.Page itself
 		if clock.Contains(acc.Page) {
 			clock.Touch(acc.Page)
 			continue
@@ -150,7 +155,8 @@ func Analyze(name string, trace []gpu.Access, s Scale, pageSize int64, maxPairs 
 		if clock.Full() {
 			v := clock.Victim()
 			clock.Remove(v)
-			if n := nextAccessAfter(positions[v], i); n >= 0 {
+			lp, _ := lastPos.Get(v)
+			if n := nextUse[lp]; n >= 0 {
 				evicts = append(evicts, evict{page: v, pos: i, next: n})
 			} else {
 				a.DeadEvictions++
@@ -197,16 +203,6 @@ func stripBarriers(trace []gpu.Access) []gpu.Access {
 		}
 	}
 	return trace
-}
-
-// nextAccessAfter reports the first position in pos strictly greater
-// than i, or -1.
-func nextAccessAfter(pos []int, i int) int {
-	k := sort.SearchInts(pos, i+1)
-	if k == len(pos) {
-		return -1
-	}
-	return pos[k]
 }
 
 // EvictionSeries groups eviction RRDs per page in eviction order — the
