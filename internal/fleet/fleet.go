@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"github.com/gmtsim/gmt/internal/core"
 	"github.com/gmtsim/gmt/internal/exp"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/stats"
@@ -159,13 +158,6 @@ type Result struct {
 	Fleet     Summary           `json:"fleet"`
 }
 
-// unit is one recyclable {engine, runtime} pair; the fleet pool mirrors
-// exp's suite pool so a 256-node run builds only workers-many runtimes.
-type unit struct {
-	eng *sim.Engine
-	rt  *core.Runtime
-}
-
 // Run executes the fleet: generate the shared stream, route it, and
 // simulate every node on the exp worker pool, each job writing its
 // outcome into a node-indexed slot so aggregation order — and thus
@@ -191,46 +183,42 @@ func Run(ctx context.Context, cfg Config, workers int, clock func() int64) (Resu
 	assign := Assign(cfg.Router, weights, reqs)
 	perNode := Split(reqs, assign, cfg.Nodes)
 
+	// One free list of units per template: like exp's suite pool, a
+	// 256-node run builds only about workers-many runtimes per template,
+	// and a recycled unit always meets a node of its own class.
 	var (
-		mu   sync.Mutex
-		pool []*unit
+		mu    sync.Mutex
+		pools = make([][]*unit, len(cfg.Templates))
 	)
-	acquire := func(ccfg core.Config) *unit {
+	acquire := func(ti int) *unit {
 		mu.Lock()
-		var u *unit
-		if n := len(pool); n > 0 {
-			u = pool[n-1]
-			pool[n-1] = nil
-			pool = pool[:n-1]
+		defer mu.Unlock()
+		pool := pools[ti]
+		n := len(pool)
+		if n == 0 {
+			return &unit{}
 		}
-		mu.Unlock()
-		if u == nil {
-			eng := sim.NewEngine()
-			return &unit{eng: eng, rt: core.NewRuntime(eng, ccfg)}
-		}
-		u.rt.Reset(ccfg)
+		u := pool[n-1]
+		pool[n-1] = nil
+		pools[ti] = pool[:n-1]
 		return u
 	}
-	release := func(u *unit) {
+	release := func(ti int, u *unit) {
 		mu.Lock()
-		pool = append(pool, u)
+		pools[ti] = append(pools[ti], u)
 		mu.Unlock()
 	}
 
 	outcomes := make([]nodeOutcome, cfg.Nodes)
 	jobs := make([]exp.Job, cfg.Nodes)
 	for i := range jobs {
-		i := i
-		tpl := cfg.Templates[tplIdx[i]]
+		i, ti := i, tplIdx[i]
 		jobs[i] = exp.Job{
 			Key: fmt.Sprintf("node-%d", i),
 			Run: func() {
-				trace, segs, footprint := buildNodeTrace(tpl, cfg.Stream, perNode[i])
-				ccfg := tpl.coreConfig(cfg.Seed+int64(i), cfg.Tier2Policy)
-				ccfg.FootprintPages = int(footprint)
-				u := acquire(ccfg)
-				outcomes[i] = simulateNode(u.eng, u.rt, tpl.gpuConfig(), trace, segs, perNode[i])
-				release(u)
+				u := acquire(ti)
+				outcomes[i] = u.simulateNode(cfg.Templates[ti], cfg, cfg.Seed+int64(i), perNode[i])
+				release(ti, u)
 			},
 		}
 	}

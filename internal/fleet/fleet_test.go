@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -161,6 +163,34 @@ func TestFleetParallelByteIdentical(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		if got := fleetBytes(t, cfg, workers); got != seq {
 			t.Fatalf("fleet output differs at workers=%d", workers)
+		}
+	}
+}
+
+// TestFleetGolden pins the canonical fleet bytes of a 64-node default
+// fleet under both routers. Node simulation is a performance hot spot
+// whose rewrites (trace building, kernel relaunch, unit pooling, digest
+// merging) must never move a result byte; a deliberate model change
+// re-records these hashes and says so.
+func TestFleetGolden(t *testing.T) {
+	want := map[RouterKind]string{
+		RouterHash: "4a34f32d509bd51dbe0eea6c6b8ca109c212b766a27da9dc94132584cf62c3c7",
+		RouterWRR:  "abd1c343434b2b6162a5f43a626189171b7310f03f2643773c1fd8f5c06c604b",
+	}
+	for _, kind := range []RouterKind{RouterHash, RouterWRR} {
+		cfg := DefaultConfig(64)
+		cfg.Router = kind
+		res, _, err := Run(context.Background(), cfg, 2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeResult(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[kind] {
+			t.Errorf("%s: fleet result sha256 = %s, want %s", kind, got, want[kind])
 		}
 	}
 }

@@ -7,28 +7,20 @@ import (
 	"github.com/gmtsim/gmt/internal/gpu"
 	"github.com/gmtsim/gmt/internal/sim"
 	"github.com/gmtsim/gmt/internal/stats"
-	"github.com/gmtsim/gmt/internal/tier"
+	"github.com/gmtsim/gmt/internal/workload"
 )
 
-// Decode cadence constants, matching the KV-serving workload's shape:
-// one generated KV page per stepsPerPage decode steps, a full prefix
-// re-read every prefixStride steps (off-steps touch only the resident
-// prefix head), and a recentWindow-page context re-read per step.
-const (
-	stepsPerPage = 8
-	prefixStride = 4
-	recentWindow = 8
-)
-
-// prefixPages is the per-prefix KV footprint for a node class: scaled
-// to its Tier-1 so the prefix pool pressures the hierarchy comparably
-// across templates.
-func (t Template) prefixPages() int {
+// kvShape is a node class's KV request shape: the KV-serving workload's
+// decode cadence (one generated page per 8 steps, a full prefix and
+// context re-read every 4th step) with an 8-page recent window, and a
+// per-prefix footprint scaled to the class's Tier-1 so the prefix pool
+// pressures the hierarchy comparably across templates.
+func (t Template) kvShape() workload.KVShape {
 	p := t.Tier1Pages / 64
 	if p < 8 {
 		p = 8
 	}
-	return p
+	return workload.KVShape{PrefixPages: p, StepsPerPage: 8, RecentWindow: 8, OffloadStride: 4}
 }
 
 // nodeOutcome is one node's simulation result: tiering counters, the
@@ -41,104 +33,85 @@ type nodeOutcome struct {
 	lastDone sim.Time
 }
 
-// buildNodeTrace lays the node's routed requests out as one access
-// trace with per-request segment boundaries. Page layout: the shared
-// prefix pool (replicated on every node) occupies the low pages; each
-// request's prompt and generated KV pages are carved off a private
-// cursor above it. The trace is a pure function of (template, stream
-// shape, routed sub-stream) — no randomness.
-//
-// segs[i] is the end (exclusive) trace index of request i.
-func buildNodeTrace(tpl Template, stream StreamConfig, reqs []Request) (trace []gpu.Access, segs []int, footprint int64) {
-	pp := tpl.prefixPages()
-	cursor := int64(stream.Prefixes * pp)
-	segs = make([]int, len(reqs))
-	read := func(p int64) { trace = append(trace, gpu.Access{Page: tier.PageID(p)}) }
-	write := func(p int64) { trace = append(trace, gpu.Access{Page: tier.PageID(p), Write: true}) }
-	for i, r := range reqs {
-		prefixStart := int64(r.Prefix) * int64(pp)
-		readPrefix := func() {
-			for p := 0; p < pp; p++ {
-				read(prefixStart + int64(p))
-			}
-		}
-		promptLen := int(r.PromptPages)
-		promptStart := cursor
-		cursor += int64(promptLen)
-		genLen := int(r.DecodeSteps) / stepsPerPage
-		genStart := cursor
-		cursor += int64(genLen)
-		ctxPage := func(i int) int64 {
-			if i < promptLen {
-				return promptStart + int64(i)
-			}
-			return genStart + int64(i-promptLen)
-		}
-
-		// Prefill: attend over the shared prefix, append the prompt KV.
-		readPrefix()
-		for p := int64(0); p < int64(promptLen); p++ {
-			write(promptStart + p)
-		}
-		// Decode: re-read the recent context window each step; the full
-		// prefix and older context only on full-attention steps.
-		for k := 0; k < int(r.DecodeSteps); k++ {
-			filled := k / stepsPerPage
-			ctx := promptLen + filled
-			full := k%prefixStride == 0
-			if full {
-				readPrefix()
-			} else {
-				read(prefixStart)
-			}
-			lo := 0
-			if !full && ctx > recentWindow {
-				lo = ctx - recentWindow
-			}
-			for j := lo; j < ctx; j++ {
-				read(ctxPage(j))
-			}
-			if (k+1)%stepsPerPage == 0 && filled < genLen {
-				write(genStart + int64(filled))
-			}
-		}
-		segs[i] = len(trace)
+// footprintPages is the node's page-ID span, computed from the request
+// lengths alone. A node's page layout puts the shared prefix pool
+// (replicated on every node) in the low pages and places each request's
+// prompt and generated KV pages above it in routed order, so the layout
+// is a pure function of (template, stream shape, routed sub-stream).
+func footprintPages(shape workload.KVShape, prefixes int, reqs []Request) int64 {
+	cursor := int64(prefixes * shape.PrefixPages)
+	for _, r := range reqs {
+		cursor = shape.Place(int(r.Prefix), int(r.PromptPages), int(r.DecodeSteps), cursor).End()
 	}
-	return trace, segs, cursor
+	return cursor
 }
 
-// simulateNode services the node's routed sub-stream on one recycled
-// {engine, runtime} pair: each request's kernel runs to completion on
-// the node's single deterministic engine (its service time is the
-// kernel's simulated span) and a FIFO queue converts open-loop arrival
+// appendRequest appends request r's accesses — prefill, then every
+// decode step — to trace, placing its pages at cursor, and returns the
+// extended trace and the advanced cursor.
+func appendRequest(trace []gpu.Access, shape workload.KVShape, r Request, cursor int64) ([]gpu.Access, int64) {
+	kr := shape.Place(int(r.Prefix), int(r.PromptPages), int(r.DecodeSteps), cursor)
+	trace = shape.AppendStep(trace, &kr, workload.KVPrefill, 0)
+	for k := 0; k < int(r.DecodeSteps); k++ {
+		trace = shape.AppendStep(trace, &kr, workload.KVDecode, k)
+	}
+	return trace, kr.End()
+}
+
+// unit is one recyclable node simulator: an {engine, runtime} pair plus
+// the buffers a node's requests reuse — the per-request trace, the
+// stream that feeds it to the GPU, and the latency samples. The fleet
+// keeps one pool of units per template, so a unit only ever serves one
+// node class and Runtime.Reset resets its devices and tiers in place.
+type unit struct {
+	eng       *sim.Engine
+	rt        *core.Runtime
+	trace     []gpu.Access
+	stream    gpu.SliceStream
+	latencies []sim.Time
+}
+
+// simulateNode services one node's routed sub-stream on u, first
+// building or resetting u's {engine, runtime} pair for the node's class
+// and seed. Each request's trace is built into u's buffer right before
+// its kernel runs to completion on the node's single deterministic
+// engine (its service time is the kernel's simulated span), one GPU
+// relaunched per request, and a FIFO queue converts open-loop arrival
 // instants plus service times into per-request latencies. Everything
 // here is simulated time — the determinism root the fleet's
-// byte-identical contract hangs off, so detflow verifies no wall
-// clock, global randomness, or cross-goroutine communication is
-// reachable from it.
+// byte-identical contract hangs off, so detflow verifies no wall clock,
+// global randomness, or cross-goroutine communication is reachable from
+// it.
 //
 //gmt:detroot
-func simulateNode(eng *sim.Engine, rt *core.Runtime, gcfg gpu.Config, trace []gpu.Access, segs []int, reqs []Request) nodeOutcome {
-	var (
-		latencies []sim.Time
-		lastDone  sim.Time
-		compute   sim.Time
-		stall     sim.Time
-	)
-	start := 0
-	for i, r := range reqs {
-		seg := trace[start:segs[i]]
-		start = segs[i]
+func (u *unit) simulateNode(tpl Template, cfg Config, seed int64, reqs []Request) nodeOutcome {
+	shape := tpl.kvShape()
+	ccfg := tpl.coreConfig(seed, cfg.Tier2Policy)
+	ccfg.FootprintPages = int(footprintPages(shape, cfg.Stream.Prefixes, reqs))
+	if u.rt == nil {
+		u.eng = sim.NewEngine()
+		u.rt = core.NewRuntime(u.eng, ccfg)
+	} else {
+		u.rt.Reset(ccfg)
+	}
+	var g *gpu.GPU
+	var lastDone sim.Time
+	eng := u.eng
+	cursor := int64(cfg.Stream.Prefixes * shape.PrefixPages)
+	u.latencies = u.latencies[:0]
+	for _, r := range reqs {
+		u.trace, cursor = appendRequest(u.trace[:0], shape, r, cursor)
+		u.stream.Reset(u.trace)
 		t0 := eng.Now()
-		g := gpu.New(eng, gcfg, &gpu.SliceStream{Trace: seg}, rt)
+		if g == nil {
+			g = gpu.New(eng, tpl.gpuConfig(), &u.stream, u.rt)
+		}
 		g.Launch()
 		eng.Run()
 		if !g.Done() {
 			panic(fmt.Sprintf("fleet: request %d did not finish", r.ID))
 		}
 		service := eng.Now() - t0
-		compute += g.ComputeTime()
-		stall += g.StallTime()
 
 		begin := r.Arrive
 		if lastDone > begin {
@@ -146,16 +119,18 @@ func simulateNode(eng *sim.Engine, rt *core.Runtime, gcfg gpu.Config, trace []gp
 		}
 		done := begin + service
 		lastDone = done
-		latencies = append(latencies, done-r.Arrive)
+		u.latencies = append(u.latencies, done-r.Arrive)
 	}
-	m := rt.Snapshot()
+	m := u.rt.Snapshot()
 	m.App = "fleet-node"
 	m.WallTime = lastDone
-	m.WarpComputeNS = int64(compute)
-	m.WarpStallNS = int64(stall)
+	if g != nil {
+		m.WarpComputeNS = int64(g.ComputeTime())
+		m.WarpStallNS = int64(g.StallTime())
+	}
 	return nodeOutcome{
 		run:      m,
-		latency:  stats.NewDigest(latencies),
+		latency:  stats.NewDigest(u.latencies),
 		requests: len(reqs),
 		lastDone: lastDone,
 	}

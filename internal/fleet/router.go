@@ -1,10 +1,11 @@
 package fleet
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 )
 
 // RouterKind selects how the shared stream partitions across nodes.
@@ -49,22 +50,27 @@ type ringPoint struct {
 // Point hashes depend only on (node, replica), so a ring for n+1 nodes
 // is a superset of the ring for n nodes — the stability guarantee.
 func buildRing(weights []int) []ringPoint {
-	var ring []ringPoint
+	points := 0
+	for _, w := range weights {
+		points += w * vnodesPerWeight
+	}
+	ring := make([]ringPoint, 0, points)
 	var buf [16]byte
+	h := fnv.New64a()
 	for node, w := range weights {
 		for r := 0; r < w*vnodesPerWeight; r++ {
 			binary.LittleEndian.PutUint64(buf[:8], uint64(node))
 			binary.LittleEndian.PutUint64(buf[8:], uint64(r))
-			h := fnv.New64a()
+			h.Reset()
 			h.Write(buf[:])
 			ring = append(ring, ringPoint{hash: h.Sum64(), node: node})
 		}
 	}
-	sort.Slice(ring, func(i, j int) bool {
-		if ring[i].hash != ring[j].hash {
-			return ring[i].hash < ring[j].hash
+	slices.SortFunc(ring, func(a, b ringPoint) int {
+		if c := cmp.Compare(a.hash, b.hash); c != 0 {
+			return c
 		}
-		return ring[i].node < ring[j].node
+		return cmp.Compare(a.node, b.node)
 	})
 	return ring
 }
@@ -106,7 +112,7 @@ func Assign(kind RouterKind, weights []int, reqs []Request) []int {
 		ring := buildRing(weights)
 		for i, r := range reqs {
 			key := splitmix64(uint64(r.ID) + 1)
-			k := sort.Search(len(ring), func(j int) bool { return ring[j].hash >= key })
+			k, _ := slices.BinarySearchFunc(ring, key, func(p ringPoint, key uint64) int { return cmp.Compare(p.hash, key) })
 			if k == len(ring) {
 				k = 0
 			}
@@ -117,9 +123,22 @@ func Assign(kind RouterKind, weights []int, reqs []Request) []int {
 }
 
 // Split groups the shared stream into per-node sub-streams, preserving
-// arrival order within each node.
+// arrival order within each node. The sub-streams are carved from one
+// backing array, each sized to its node's count.
 func Split(reqs []Request, assign []int, nodes int) [][]Request {
+	counts := make([]int, nodes)
+	for _, n := range assign {
+		counts[n]++
+	}
+	backing := make([]Request, len(reqs))
 	out := make([][]Request, nodes)
+	off := 0
+	for n, c := range counts {
+		if c > 0 {
+			out[n] = backing[off : off : off+c]
+		}
+		off += c
+	}
 	for i, r := range reqs {
 		out[assign[i]] = append(out[assign[i]], r)
 	}

@@ -66,6 +66,13 @@ func (s *SliceStream) Pending() []Access { return s.Trace[s.pos:] }
 // Advance implements BatchStream, consuming n accesses.
 func (s *SliceStream) Advance(n int) { s.pos += n }
 
+// Reset rewinds the stream onto a new trace, so one stream can feed a
+// relaunched kernel.
+func (s *SliceStream) Reset(trace []Access) {
+	s.Trace = trace
+	s.pos = 0
+}
+
 // BatchStream is the optional batch extension of Stream: a stream that
 // can expose its unconsumed tail as a slice lets a hitting warp replay
 // whole runs of accesses through AccessSyncBatch without a Next call
@@ -174,9 +181,10 @@ type GPU struct {
 	active   int
 	finished bool
 
-	// warps is allocated once at Launch; warp pointers are stable and
-	// ride the engine's typed event path, so the issue/complete cycle
-	// of a resident access allocates nothing.
+	// warps is allocated at the first Launch and reused by every
+	// relaunch; warp pointers are stable and ride the engine's typed
+	// event path, so the issue/complete cycle of a resident access
+	// allocates nothing.
 	warps []warp
 
 	// Barrier state: once one warp consumes the barrier token from the
@@ -238,7 +246,19 @@ func New(eng *sim.Engine, cfg Config, stream Stream, mm MemoryManager) *GPU {
 
 // Launch schedules all warps at the current virtual time. Run the engine
 // to completion afterwards; Done reports kernel completion.
+//
+// Launch may be called again once Done is true, typically after
+// resetting the stream onto the next kernel's trace (SliceStream.Reset):
+// the relaunch reuses the warps and barrier buffers, so a GPU serving a
+// sequence of kernels allocates only at its first launch. A relaunch
+// dispatches exactly what a fresh New+Launch over the same stream,
+// manager and engine state would; only the counters differ, because they
+// accumulate across launches. Launching an unfinished kernel panics.
 func (g *GPU) Launch() {
+	if g.warps != nil {
+		g.relaunch()
+		return
+	}
 	g.sync, _ = g.mm.(SyncMemoryManager)
 	if g.sync != nil {
 		g.batch, _ = g.mm.(BatchSyncMemoryManager)
@@ -258,6 +278,24 @@ func (g *GPU) Launch() {
 		}
 		g.active++
 		g.eng.AfterCall(0, warpStepEvent, w, 0)
+	}
+}
+
+// relaunch re-arms a finished kernel: every warp becomes active again
+// and steps at the current virtual time, in warp order, as at the first
+// launch.
+func (g *GPU) relaunch() {
+	if !g.finished {
+		panic("gpu: Launch of an unfinished kernel")
+	}
+	g.finished = false
+	g.barPending = false
+	g.batching = false
+	g.parked = g.parked[:0]
+	g.releasing = g.releasing[:0]
+	for i := range g.warps {
+		g.active++
+		g.eng.AfterCall(0, warpStepEvent, &g.warps[i], 0)
 	}
 }
 
@@ -438,19 +476,24 @@ func (g *GPU) releaseParked() {
 	g.batching = false
 }
 
-// Accesses reports coalesced accesses issued so far.
+// Accesses reports coalesced accesses issued so far, summed over every
+// launch.
 func (g *GPU) Accesses() int64 { return g.accesses }
 
-// StallTime reports cumulative warp time spent waiting on memory.
+// StallTime reports cumulative warp time spent waiting on memory,
+// summed over every launch.
 func (g *GPU) StallTime() sim.Time { return g.stall }
 
-// ComputeTime reports cumulative warp busy time.
+// ComputeTime reports cumulative warp busy time, summed over every
+// launch.
 func (g *GPU) ComputeTime() sim.Time { return g.compute }
 
-// Done reports whether every warp has drained the stream.
+// Done reports whether every warp has drained the stream of the latest
+// launch.
 func (g *GPU) Done() bool { return g.finished }
 
-// Barriers reports how many kernel-wide barriers completed.
+// Barriers reports how many kernel-wide barriers completed, summed over
+// every launch.
 func (g *GPU) Barriers() int64 { return g.barriers }
 
 // ResidentManager is a trivial MemoryManager where every page is already

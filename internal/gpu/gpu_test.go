@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/gmtsim/gmt/internal/sim"
@@ -219,4 +220,135 @@ func TestZeroWarpsPanics(t *testing.T) {
 		}
 	}()
 	New(sim.NewEngine(), Config{}, &SliceStream{}, ResidentManager{})
+}
+
+// issue is one access as a manager saw it: when it issued and where.
+type issue struct {
+	at   sim.Time
+	page tier.PageID
+}
+
+// callManager is a typed-completion manager that logs every issue:
+// even pages hit inline, odd pages land after a page-dependent latency
+// through the typed event path, so hit streaks, misses and barrier
+// arrivals interleave.
+type callManager struct {
+	eng *sim.Engine
+	log []issue
+}
+
+func (m *callManager) Access(a Access, done func()) {
+	if m.AccessSync(a, done) {
+		done()
+	}
+}
+
+func (m *callManager) AccessSync(a Access, done func()) bool {
+	m.log = append(m.log, issue{m.eng.Now(), a.Page})
+	if a.Page%2 == 0 {
+		return true
+	}
+	m.eng.After(m.latency(a), done)
+	return false
+}
+
+func (m *callManager) AccessSyncCall(a Access, call sim.EventFunc, ctx any, arg int64) bool {
+	m.log = append(m.log, issue{m.eng.Now(), a.Page})
+	if a.Page%2 == 0 {
+		return true
+	}
+	m.eng.AfterCall(m.latency(a), call, ctx, arg)
+	return false
+}
+
+func (m *callManager) latency(a Access) sim.Time { return sim.Time(100 + a.Page%7*300) }
+
+// kernelCounters is a GPU's counter state; relaunch deltas subtract two.
+type kernelCounters struct {
+	accesses, barriers int64
+	stall, compute     sim.Time
+}
+
+func countersOf(g *GPU) kernelCounters {
+	return kernelCounters{g.Accesses(), g.Barriers(), g.StallTime(), g.ComputeTime()}
+}
+
+// TestRelaunchMatchesFresh pins Launch's relaunch contract: kernel B
+// relaunched on a GPU that already ran kernel A dispatches the same
+// events (same issues at the same instants, same engine step count),
+// ends at the same clock and adds the same counter deltas as a fresh
+// New+Launch over B on an engine that ran A the same way.
+func TestRelaunchMatchesFresh(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b []Access
+	}{
+		{"plain", trace(90), trace(130)[40:]},
+		{"barriers", barrierMixTrace(8, 3), barrierMixTrace(8, 5)},
+		{"trailing-barrier", append(trace(20), Barrier), append(barrierMixTrace(8, 2), trace(9)...)},
+	}
+	cfg := Config{Warps: 8, ComputePerAccess: 50 * sim.Nanosecond}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Relaunched: one GPU and one stream for both kernels.
+			engR := sim.NewEngine()
+			mmR := &callManager{eng: engR}
+			stream := &SliceStream{Trace: tc.a}
+			g := New(engR, cfg, stream, mmR)
+			g.Launch()
+			engR.Run()
+			logA, stepsA, before := len(mmR.log), engR.Steps(), countersOf(g)
+			stream.Reset(tc.b)
+			g.Launch()
+			engR.Run()
+			if !g.Done() {
+				t.Fatal("relaunched kernel did not finish")
+			}
+
+			// Fresh: a new GPU for kernel B on an engine that ran A.
+			engF := sim.NewEngine()
+			mmF := &callManager{eng: engF}
+			ga := New(engF, cfg, &SliceStream{Trace: tc.a}, mmF)
+			ga.Launch()
+			engF.Run()
+			logAF, stepsAF := len(mmF.log), engF.Steps()
+			gb := New(engF, cfg, &SliceStream{Trace: tc.b}, mmF)
+			gb.Launch()
+			engF.Run()
+
+			if engR.Now() != engF.Now() {
+				t.Errorf("clock: relaunch %d, fresh %d", engR.Now(), engF.Now())
+			}
+			if r, f := engR.Steps()-stepsA, engF.Steps()-stepsAF; r != f {
+				t.Errorf("kernel B dispatched %d events relaunched, %d fresh", r, f)
+			}
+			if !reflect.DeepEqual(mmR.log[logA:], mmF.log[logAF:]) {
+				t.Error("kernel B's issue sequence differs between relaunch and fresh GPU")
+			}
+			now := countersOf(g)
+			delta := kernelCounters{now.accesses - before.accesses, now.barriers - before.barriers,
+				now.stall - before.stall, now.compute - before.compute}
+			if fresh := countersOf(gb); delta != fresh {
+				t.Errorf("kernel B counters: relaunch delta %+v, fresh %+v", delta, fresh)
+			}
+			if delta.accesses == 0 || (tc.name != "plain" && delta.barriers == 0) {
+				t.Errorf("kernel B exercised too little: %+v", delta)
+			}
+		})
+	}
+}
+
+// TestRelaunchUnfinishedPanics: a kernel with warps still running cannot
+// be relaunched.
+func TestRelaunchUnfinishedPanics(t *testing.T) {
+	eng := sim.NewEngine()
+	g := New(eng, Config{Warps: 4, ComputePerAccess: 10}, &SliceStream{Trace: trace(100)}, ResidentManager{})
+	g.Launch()
+	eng.RunUntil(50)
+	defer func() {
+		if recover() == nil {
+			t.Error("Launch of an unfinished kernel did not panic")
+		}
+	}()
+	g.Launch()
 }

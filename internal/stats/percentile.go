@@ -1,7 +1,8 @@
 package stats
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/gmtsim/gmt/internal/sim"
 )
@@ -20,24 +21,42 @@ type Digest struct {
 }
 
 // NewDigest builds a digest from raw samples. The input slice is not
-// retained or modified.
+// retained or modified, and the allocation count does not depend on the
+// sample count.
 func NewDigest(samples []sim.Time) Digest {
 	if len(samples) == 0 {
 		return Digest{}
 	}
-	sorted := append([]sim.Time(nil), samples...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var d Digest
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
+	d := newDigest(distinct(len(sorted), func(i int) sim.Time { return sorted[i] }))
 	for _, v := range sorted {
 		d.add(v, 1)
 	}
-	d.total = int64(len(sorted))
 	return d
+}
+
+// distinct counts the distinct values among n values listed in
+// non-decreasing order.
+func distinct(n int, at func(i int) sim.Time) int {
+	k := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || at(i) != at(i-1) {
+			k++
+		}
+	}
+	return k
+}
+
+// newDigest returns an empty digest with room for runs distinct values.
+func newDigest(runs int) Digest {
+	return Digest{vals: make([]sim.Time, 0, runs), counts: make([]int64, 0, runs)}
 }
 
 // add appends a (value, count) run, coalescing with the last run when
 // the value repeats. Callers must append in non-decreasing value order.
 func (d *Digest) add(v sim.Time, n int64) {
+	d.total += n
 	if k := len(d.vals); k > 0 && d.vals[k-1] == v {
 		d.counts[k-1] += n
 		return
@@ -49,31 +68,36 @@ func (d *Digest) add(v sim.Time, n int64) {
 // Count reports the number of samples the digest summarizes.
 func (d Digest) Count() int64 { return d.total }
 
+// digestRun is one (value, count) run of a digest.
+type digestRun struct {
+	v sim.Time
+	n int64
+}
+
 // MergeDigests folds any number of digests into one, exactly: the
 // result is identical to a digest built from the concatenated raw
-// samples, independent of argument order or grouping.
+// samples, independent of argument order or grouping. It gathers every
+// run, sorts them by value and coalesces equal values (counts add, so
+// the unstable sort cannot show): O(R log R) over R runs in total,
+// whatever the number of digests.
 func MergeDigests(ds ...Digest) Digest {
-	// k-way merge of sorted runs; with one digest per fleet node a
-	// simple repeated-min scan is plenty.
-	idx := make([]int, len(ds))
-	var out Digest
-	for {
-		best := -1
-		for i, d := range ds {
-			if idx[i] >= len(d.vals) {
-				continue
-			}
-			if best < 0 || d.vals[idx[i]] < ds[best].vals[idx[best]] {
-				best = i
-			}
+	n := 0
+	for _, d := range ds {
+		n += len(d.vals)
+	}
+	if n == 0 {
+		return Digest{}
+	}
+	runs := make([]digestRun, 0, n)
+	for _, d := range ds {
+		for i, v := range d.vals {
+			runs = append(runs, digestRun{v, d.counts[i]})
 		}
-		if best < 0 {
-			break
-		}
-		d := ds[best]
-		out.add(d.vals[idx[best]], d.counts[idx[best]])
-		out.total += d.counts[idx[best]]
-		idx[best]++
+	}
+	slices.SortFunc(runs, func(a, b digestRun) int { return cmp.Compare(a.v, b.v) })
+	out := newDigest(distinct(len(runs), func(i int) sim.Time { return runs[i].v }))
+	for _, r := range runs {
+		out.add(r.v, r.n)
 	}
 	return out
 }

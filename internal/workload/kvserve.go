@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/gmtsim/gmt/internal/gpu"
+	"github.com/gmtsim/gmt/internal/tier"
 )
 
 // KVServeName is the KV-cache serving workload's suite name. It is not
@@ -13,28 +14,116 @@ import (
 // experiment requests it explicitly.
 const KVServeName = "KVServe"
 
-// Step kinds of the serving event timeline.
+// KVStepKind is one step of a KV-serving request.
+type KVStepKind uint8
+
 const (
-	kvPrefill = iota
-	kvDecode
-	kvFollowUp
+	KVPrefill  KVStepKind = iota // attend over the prefix, append the prompt
+	KVDecode                     // one decode step
+	KVFollowUp                   // a second turn reloading the whole context
 )
 
 // kvFollowUpPages is the KV footprint a follow-up turn appends.
 const kvFollowUpPages = 2
 
-// kvRequest is one planned conversation request: a prompt prefilled
-// against a shared prefix, a decode phase appending KV blocks, and an
-// optional follow-up turn that reloads the whole context.
+// KVShape is the access shape of a KV-serving request. The single-node
+// serving workload and the fleet's per-node streams both place and emit
+// their requests through it.
+type KVShape struct {
+	// PrefixPages is the KV footprint of one shared prompt prefix,
+	// read in full at prefill. StepsPerPage decode steps fill one new
+	// KV block.
+	PrefixPages  int
+	StepsPerPage int
+
+	// RecentWindow context pages are re-read every decode step; older
+	// (offloaded) blocks and the full prefix are re-fetched only every
+	// OffloadStride steps.
+	RecentWindow  int
+	OffloadStride int
+}
+
+// KVRequest places one request's KV pages: its shared prefix, the
+// prompt KV appended at prefill and the blocks decode generates. A
+// follow-up turn appends its blocks at End.
+type KVRequest struct {
+	Prefix      int // shared prefix index
+	PromptStart int64
+	PromptLen   int
+	GenStart    int64
+	GenLen      int
+}
+
+// Place lays a request out at page cursor: promptLen prompt pages, then
+// the pages decodeSteps decode steps generate.
+func (s KVShape) Place(prefix, promptLen, decodeSteps int, cursor int64) KVRequest {
+	return KVRequest{
+		Prefix:      prefix,
+		PromptStart: cursor,
+		PromptLen:   promptLen,
+		GenStart:    cursor + int64(promptLen),
+		GenLen:      decodeSteps / s.StepsPerPage,
+	}
+}
+
+// End is the first page after the request's prompt and generated pages.
+func (r KVRequest) End() int64 { return r.GenStart + int64(r.GenLen) }
+
+// AppendStep appends step kind of request r (decode step k) to out and
+// returns the extended slice. It allocates only when out must grow.
+func (s KVShape) AppendStep(out []gpu.Access, r *KVRequest, kind KVStepKind, k int) []gpu.Access {
+	prefixStart := int64(r.Prefix * s.PrefixPages)
+	prefixPages := s.PrefixPages
+	switch kind {
+	case KVPrefill:
+		// Attend over the shared prefix, append the prompt's KV.
+		out = appendRun(out, prefixStart, prefixPages, false)
+		out = appendRun(out, r.PromptStart, r.PromptLen, true)
+	case KVDecode:
+		filled := k / s.StepsPerPage
+		ctx := r.PromptLen + filled
+		full := k%s.OffloadStride == 0
+		if !full {
+			// Off-step: only the prefix head block stays resident-hot.
+			prefixPages = 1
+		}
+		out = appendRun(out, prefixStart, prefixPages, false)
+		// Context indices [lo, ctx): prompt pages first, then generated.
+		lo := 0
+		if !full && ctx > s.RecentWindow {
+			lo = ctx - s.RecentWindow
+		}
+		out = appendRun(out, r.PromptStart+int64(lo), r.PromptLen-lo, false)
+		gen := max(lo-r.PromptLen, 0)
+		out = appendRun(out, r.GenStart+int64(gen), filled-gen, false)
+		if (k+1)%s.StepsPerPage == 0 && filled < r.GenLen {
+			out = append(out, gpu.Access{Page: tier.PageID(r.GenStart + int64(filled)), Write: true})
+		}
+	case KVFollowUp:
+		// Second turn: reload the entire context rather than
+		// recomputing it, then append the new turn's KV.
+		out = appendRun(out, prefixStart, prefixPages, false)
+		out = appendRun(out, r.PromptStart, r.PromptLen, false)
+		out = appendRun(out, r.GenStart, r.GenLen, false)
+		out = appendRun(out, r.End(), kvFollowUpPages, true)
+	}
+	return out
+}
+
+// appendRun appends n (<= 0: none) consecutive page accesses from first.
+func appendRun(out []gpu.Access, first int64, n int, write bool) []gpu.Access {
+	for p := int64(0); p < int64(n); p++ {
+		out = append(out, gpu.Access{Page: tier.PageID(first + p), Write: write})
+	}
+	return out
+}
+
+// kvRequest is one planned conversation request, with its decode length,
+// optional follow-up turn and arrival.
 type kvRequest struct {
-	prefix      int     // shared prefix index
-	promptStart int64   // first prompt KV page
-	promptLen   int     // prompt KV pages
-	genStart    int64   // first decode-generated KV page
-	genLen      int     // decode-generated KV pages
+	KVRequest
 	decodeSteps int     // decode iterations
 	followUp    bool    // second turn after think time
-	fuStart     int64   // first follow-up KV page
 	arrive      float64 // open-loop arrival instant, seconds
 }
 
@@ -44,8 +133,8 @@ type kvStep struct {
 	at   float64
 	seq  int64
 	req  int32
-	kind uint8
-	k    int32 // decode step index (kvDecode only)
+	kind KVStepKind
+	k    int32 // decode step index (KVDecode only)
 }
 
 // KVServeWorkload generates a tiered LLM KV-cache serving trace: pages
@@ -64,25 +153,17 @@ type kvStep struct {
 type KVServeWorkload struct {
 	Scale Scale
 
+	// KVShape is every request's access shape.
+	KVShape
+
 	// Prefixes counts the distinct shared prompt prefixes (system
-	// prompts / few-shot preambles); each occupies PrefixPages KV
-	// blocks, read in full at prefill.
-	Prefixes    int
-	PrefixPages int
+	// prompts / few-shot preambles).
+	Prefixes int
 
 	// Prompt and decode shapes, drawn uniformly per request
 	// (inclusive bounds).
 	MinPromptPages, MaxPromptPages int
 	MinDecodeSteps, MaxDecodeSteps int
-
-	// StepsPerPage decode steps fill one new KV block.
-	StepsPerPage int
-
-	// RecentWindow context pages are re-read every decode step; older
-	// (offloaded) blocks and the full prefix are re-fetched only every
-	// OffloadStride steps.
-	RecentWindow  int
-	OffloadStride int
 
 	// Open-loop arrivals: BaseRate requests/second scaled by the
 	// RateSchedule multiplier active at the arrival instant; each
@@ -118,16 +199,18 @@ func NewKVServe(s Scale) *KVServeWorkload {
 		prefixPages = 8
 	}
 	return &KVServeWorkload{
-		Scale:          s,
+		Scale: s,
+		KVShape: KVShape{
+			PrefixPages:   prefixPages,
+			StepsPerPage:  8,
+			RecentWindow:  16,
+			OffloadStride: 4,
+		},
 		Prefixes:       8,
-		PrefixPages:    prefixPages,
 		MinPromptPages: 4,
 		MaxPromptPages: 16,
 		MinDecodeSteps: 16,
 		MaxDecodeSteps: 48,
-		StepsPerPage:   8,
-		RecentWindow:   16,
-		OffloadStride:  4,
 		BaseRate:       float64(s.Tier1Pages) / 128,
 		RateSchedule:   []float64{1, 4, 1, 0.25},
 		PeriodSec:      30,
@@ -165,27 +248,23 @@ func (w *KVServeWorkload) build() {
 		t := 0.0
 		for {
 			t = sched.Next(rng, t)
+			prefix := rng.Intn(w.Prefixes)
+			prompt := w.MinPromptPages + rng.Intn(w.MaxPromptPages-w.MinPromptPages+1)
+			steps := w.MinDecodeSteps + rng.Intn(w.MaxDecodeSteps-w.MinDecodeSteps+1)
 			r := kvRequest{
-				prefix:      rng.Intn(w.Prefixes),
-				promptLen:   w.MinPromptPages + rng.Intn(w.MaxPromptPages-w.MinPromptPages+1),
-				decodeSteps: w.MinDecodeSteps + rng.Intn(w.MaxDecodeSteps-w.MinDecodeSteps+1),
+				KVRequest:   w.Place(prefix, prompt, steps, cursor),
+				decodeSteps: steps,
 				followUp:    rng.Float64() < w.FollowUpProb,
 				arrive:      t,
 			}
-			r.genLen = r.decodeSteps / w.StepsPerPage
-			need := int64(r.promptLen + r.genLen)
+			end := r.End()
 			if r.followUp {
-				need += kvFollowUpPages
+				end += kvFollowUpPages
 			}
-			if cursor+need > working {
+			if end > working {
 				break
 			}
-			r.promptStart = cursor
-			r.genStart = cursor + int64(r.promptLen)
-			if r.followUp {
-				r.fuStart = r.genStart + int64(r.genLen)
-			}
-			cursor += need
+			cursor = end
 			reqs = append(reqs, r)
 		}
 
@@ -193,18 +272,18 @@ func (w *KVServeWorkload) build() {
 		// (instant, sequence) — concurrent requests interleave exactly
 		// as a serving engine would execute them.
 		var steps []kvStep
-		add := func(at float64, req int32, kind uint8, k int32) {
+		add := func(at float64, req int32, kind KVStepKind, k int32) {
 			steps = append(steps, kvStep{at: at, seq: int64(len(steps)), req: req, kind: kind, k: k})
 		}
 		for i := range reqs {
 			r := &reqs[i]
-			add(r.arrive, int32(i), kvPrefill, 0)
+			add(r.arrive, int32(i), KVPrefill, 0)
 			for k := 0; k < r.decodeSteps; k++ {
-				add(r.arrive+w.PrefillSec+float64(k+1)*w.StepSec, int32(i), kvDecode, int32(k))
+				add(r.arrive+w.PrefillSec+float64(k+1)*w.StepSec, int32(i), KVDecode, int32(k))
 			}
 			if r.followUp {
 				end := r.arrive + w.PrefillSec + float64(r.decodeSteps)*w.StepSec
-				add(end+w.ThinkSec, int32(i), kvFollowUp, 0)
+				add(end+w.ThinkSec, int32(i), KVFollowUp, 0)
 			}
 		}
 		sort.Slice(steps, func(a, b int) bool {
@@ -214,69 +293,11 @@ func (w *KVServeWorkload) build() {
 			return steps[a].seq < steps[b].seq
 		})
 
-		b := &traceBuilder{}
+		var trace []gpu.Access
 		for _, st := range steps {
-			w.emit(b, &reqs[st.req], st)
+			trace = w.AppendStep(trace, &reqs[st.req].KVRequest, st.kind, int(st.k))
 		}
-		w.trace = b.out
+		w.trace = trace
 		w.pages = cursor
 	})
-}
-
-// ctxPage maps context index i (prompt pages first, then generated
-// pages) to its KV page.
-func ctxPage(r *kvRequest, i int) int64 {
-	if i < r.promptLen {
-		return r.promptStart + int64(i)
-	}
-	return r.genStart + int64(i-r.promptLen)
-}
-
-// emit appends one step's accesses.
-func (w *KVServeWorkload) emit(b *traceBuilder, r *kvRequest, st kvStep) {
-	prefixStart := int64(r.prefix * w.PrefixPages)
-	readPrefix := func() {
-		for p := 0; p < w.PrefixPages; p++ {
-			b.read(prefixStart + int64(p))
-		}
-	}
-	switch st.kind {
-	case kvPrefill:
-		// Attend over the shared prefix, append the prompt's KV.
-		readPrefix()
-		for p := 0; p < r.promptLen; p++ {
-			b.write(r.promptStart + int64(p))
-		}
-	case kvDecode:
-		k := int(st.k)
-		filled := k / w.StepsPerPage
-		ctx := r.promptLen + filled
-		full := k%w.OffloadStride == 0
-		if full {
-			readPrefix()
-		} else {
-			// Off-step: only the prefix head block stays resident-hot.
-			b.read(prefixStart)
-		}
-		lo := 0
-		if !full && ctx > w.RecentWindow {
-			lo = ctx - w.RecentWindow
-		}
-		for i := lo; i < ctx; i++ {
-			b.read(ctxPage(r, i))
-		}
-		if (k+1)%w.StepsPerPage == 0 && filled < r.genLen {
-			b.write(r.genStart + int64(filled))
-		}
-	case kvFollowUp:
-		// Second turn: reload the entire context rather than
-		// recomputing it, then append the new turn's KV.
-		readPrefix()
-		for i := 0; i < r.promptLen+r.genLen; i++ {
-			b.read(ctxPage(r, i))
-		}
-		for p := int64(0); p < kvFollowUpPages; p++ {
-			b.write(r.fuStart + p)
-		}
-	}
 }
