@@ -73,6 +73,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/gmtsim/gmt"
 	"github.com/gmtsim/gmt/internal/buildinfo"
 	"github.com/gmtsim/gmt/internal/exp"
 	"github.com/gmtsim/gmt/internal/plot"
@@ -206,6 +207,17 @@ func finalizeReport(rep *benchReport) {
 	}
 }
 
+// checkScale rejects a suite scale before anything is built. The
+// experiments run three-tier policies, so both tiers need a page; under
+// -quick the check applies to the quartered capacities actually used.
+func checkScale(s workload.Scale, quick bool) error {
+	err := gmt.Scale{Tier1Pages: s.Tier1Pages, Tier2Pages: s.Tier2Pages, Oversubscription: s.Oversubscription}.Validate(gmt.Reuse)
+	if err != nil && quick {
+		return fmt.Errorf("%w (-quick divides -t1 and -t2 by 4)", err)
+	}
+	return err
+}
+
 func main() {
 	t1 := flag.Int("t1", 1024, "Tier-1 capacity in 64 KiB pages")
 	t2 := flag.Int("t2", 4096, "Tier-2 capacity in 64 KiB pages")
@@ -280,6 +292,10 @@ func main() {
 	if *quick {
 		scale.Tier1Pages = *t1 / 4
 		scale.Tier2Pages = *t2 / 4
+	}
+	if err := checkScale(scale, *quick); err != nil {
+		fmt.Fprintln(os.Stderr, "gmtbench:", err)
+		os.Exit(2)
 	}
 
 	var suite *exp.Suite

@@ -50,6 +50,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
 		os.Exit(2)
 	}
+	scale := gmt.Scale{Tier1Pages: *t1, Tier2Pages: *t2, Oversubscription: *osf}
+	if err := checkFlags(scale, p, *warps); err != nil {
+		fmt.Fprintln(os.Stderr, "gmtsim:", err)
+		os.Exit(2)
+	}
 
 	cfg := gmt.DefaultConfig()
 	cfg.Policy = p
@@ -75,7 +80,6 @@ func main() {
 		}
 		res = gmt.RunTrace(cfg, *traceFile, trace)
 	} else {
-		scale := gmt.Scale{Tier1Pages: *t1, Tier2Pages: *t2, Oversubscription: *osf}
 		var w gmt.Workload
 		for _, cand := range gmt.Suite(scale) {
 			if strings.EqualFold(cand.Name(), *app) {
@@ -104,4 +108,17 @@ func main() {
 			100*res.PredictionAccuracy, res.Predictions)
 	}
 	fmt.Printf("  tier-2 hit rate   : %.1f%%\n", 100*res.Tier2HitRate)
+}
+
+// checkFlags rejects a run configuration before anything is built: the
+// tier sizes and oversubscription factor must pass gmt.Scale.Validate
+// for the chosen policy, and at least one warp must run.
+func checkFlags(scale gmt.Scale, p gmt.Policy, warps int) error {
+	if err := scale.Validate(p); err != nil {
+		return err
+	}
+	if warps < 1 {
+		return fmt.Errorf("need at least 1 warp, got %d", warps)
+	}
+	return nil
 }

@@ -23,6 +23,7 @@ package gmt
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"github.com/gmtsim/gmt/internal/baseline"
@@ -106,6 +107,24 @@ type Scale struct {
 func DefaultScale() Scale {
 	s := workload.DefaultScale()
 	return Scale{Tier1Pages: s.Tier1Pages, Tier2Pages: s.Tier2Pages, Oversubscription: s.Oversubscription}
+}
+
+// Validate reports the first reason s cannot size a run under policy p:
+// Tier-1 must hold at least one page, Tier-2 at least one page for every
+// policy with a second tier (all but BaM) and none may be negative, and
+// the oversubscription factor must be finite and positive.
+func (s Scale) Validate(p Policy) error {
+	switch {
+	case s.Tier1Pages < 1:
+		return fmt.Errorf("Tier-1 capacity must be at least 1 page, got %d", s.Tier1Pages)
+	case s.Tier2Pages < 0:
+		return fmt.Errorf("Tier-2 capacity must not be negative, got %d", s.Tier2Pages)
+	case p != BaM && s.Tier2Pages < 1:
+		return fmt.Errorf("Tier-2 capacity must be at least 1 page for a three-tier policy, got %d", s.Tier2Pages)
+	case math.IsNaN(s.Oversubscription) || math.IsInf(s.Oversubscription, 0) || s.Oversubscription <= 0:
+		return fmt.Errorf("oversubscription factor must be finite and > 0, got %v", s.Oversubscription)
+	}
+	return nil
 }
 
 func (s Scale) internal() workload.Scale {

@@ -1,6 +1,7 @@
 package gmt
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -260,5 +261,36 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 	if cfg.ComputePerAccess <= 0 || cfg.ComputePerAccess > time.Microsecond {
 		t.Fatalf("compute per access = %v", cfg.ComputePerAccess)
+	}
+}
+
+// TestScaleValidate pins Scale.Validate's table: one page per tier the
+// policy uses, no negative capacities, and a finite positive
+// oversubscription factor.
+func TestScaleValidate(t *testing.T) {
+	ok := Scale{Tier1Pages: 64, Tier2Pages: 256, Oversubscription: 2}
+	cases := []struct {
+		name string
+		s    Scale
+		p    Policy
+		bad  bool
+	}{
+		{"default", DefaultScale(), Reuse, false},
+		{"small", ok, HMM, false},
+		{"bam without tier-2", Scale{Tier1Pages: 64, Oversubscription: 2}, BaM, false},
+		{"zero tier-1", Scale{Tier2Pages: 256, Oversubscription: 2}, BaM, true},
+		{"negative tier-1", Scale{Tier1Pages: -1, Tier2Pages: 256, Oversubscription: 2}, Reuse, true},
+		{"zero tier-2", Scale{Tier1Pages: 64, Oversubscription: 2}, TierOrder, true},
+		{"zero tier-2 hmm", Scale{Tier1Pages: 64, Oversubscription: 2}, HMM, true},
+		{"negative tier-2 bam", Scale{Tier1Pages: 64, Tier2Pages: -4, Oversubscription: 2}, BaM, true},
+		{"zero osf", Scale{Tier1Pages: 64, Tier2Pages: 256}, Reuse, true},
+		{"negative osf", Scale{Tier1Pages: 64, Tier2Pages: 256, Oversubscription: -1}, Reuse, true},
+		{"nan osf", Scale{Tier1Pages: 64, Tier2Pages: 256, Oversubscription: math.NaN()}, Reuse, true},
+		{"inf osf", Scale{Tier1Pages: 64, Tier2Pages: 256, Oversubscription: math.Inf(1)}, Reuse, true},
+	}
+	for _, c := range cases {
+		if err := c.s.Validate(c.p); (err != nil) != c.bad {
+			t.Errorf("%s: Validate(%v) = %v, want error %v", c.name, c.p, err, c.bad)
+		}
 	}
 }

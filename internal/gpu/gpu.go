@@ -79,9 +79,10 @@ func (s *SliceStream) Reset(trace []Access) {
 // (and an interface dispatch) per access.
 type BatchStream interface {
 	Stream
-	// Pending reports the not-yet-consumed accesses. The slice is only
-	// valid until the next Next or Advance call, and callers must not
-	// mutate it.
+	// Pending reports all the not-yet-consumed accesses, so an empty
+	// Pending means the stream is drained (the GPU retires warps on
+	// it). The slice is only valid until the next Next or Advance call,
+	// and callers must not mutate it.
 	Pending() []Access
 	// Advance consumes the first n pending accesses. n must not exceed
 	// len(Pending()).
@@ -180,6 +181,11 @@ type GPU struct {
 	compute  sim.Time
 	active   int
 	finished bool
+	// endAt is the latest time a retired warp's last step would have
+	// run. A warp retires early — without that no-op step — when its
+	// continuation could only find the stream drained, so the kernel's
+	// end is an AtCall(endAt, kernelEndEvent) instead (see retire).
+	endAt sim.Time
 
 	// warps is allocated at the first Launch and reused by every
 	// relaunch; warp pointers are stable and ride the engine's typed
@@ -191,7 +197,8 @@ type GPU struct {
 	// shared stream, barPending parks every other warp as it completes
 	// its in-flight work, until all active warps have arrived. parked
 	// records arrivals in order; one release event re-steps them in that
-	// same order, preserving the stream-consumption sequence. parked and
+	// same order, preserving the stream-consumption sequence. A launch
+	// is released the same way, with every warp in releasing. parked and
 	// releasing ping-pong: checkBarrier hands the arrivals to the
 	// release event by swapping the buffers, so re-parks during a
 	// release land in the other buffer and neither ever reallocates.
@@ -217,17 +224,22 @@ type warp struct {
 	done   func()
 }
 
-// warpStepEvent is the typed event dispatched for every warp step; ctx
-// is the *warp.
+// warpStepEvent is the typed event dispatched for every warp
+// continuation, one compute quantum after the warp's last issue; ctx is
+// the *warp.
 //
 //gmt:hotpath
 func warpStepEvent(ctx any, _ int64) { ctx.(*warp).step() }
 
 // barrierReleaseEvent is the typed event dispatched once per completed
-// barrier; ctx is the *GPU.
+// barrier and once per launch; ctx is the *GPU.
 //
 //gmt:hotpath
 func barrierReleaseEvent(ctx any, _ int64) { ctx.(*GPU).releaseParked() }
+
+// kernelEndEvent marks the kernel finished at the time its last warp's
+// elided final step would have run; ctx is the *GPU.
+func kernelEndEvent(ctx any, _ int64) { ctx.(*GPU).finished = true }
 
 // warpAccessDoneEvent is the typed completion delivered by a
 // CallSyncMemoryManager when an asynchronous access lands; ctx is the
@@ -246,6 +258,16 @@ func New(eng *sim.Engine, cfg Config, stream Stream, mm MemoryManager) *GPU {
 
 // Launch schedules all warps at the current virtual time. Run the engine
 // to completion afterwards; Done reports kernel completion.
+//
+// The warps start from one release event, as after a barrier, stepping
+// in warp order: per-warp launch events would have held consecutive
+// sequence numbers at one instant, so nothing could interleave between
+// them. Each warp's continuation, one ComputePerAccess after an issue,
+// rides the engine's constant-delay lane (sim.Engine.AfterCallFIFO). A
+// continuation that could only retire the warp — the stream drained, no
+// barrier pending — is not scheduled at all; the warp retires at once,
+// and the kernel finishes at the time the latest such step would have
+// run (see retire).
 //
 // Launch may be called again once Done is true, typically after
 // resetting the stream onto the next kernel's trace (SliceStream.Reset):
@@ -276,9 +298,19 @@ func (g *GPU) Launch() {
 			// method-value allocation entirely.
 			w.done = w.accessDone
 		}
-		g.active++
-		g.eng.AfterCall(0, warpStepEvent, w, 0)
 	}
+	g.start()
+}
+
+// start makes every warp active and schedules the launch's one release
+// event, which steps them in warp order.
+func (g *GPU) start() {
+	g.endAt = 0
+	for i := range g.warps {
+		g.releasing = append(g.releasing, &g.warps[i])
+	}
+	g.active = len(g.warps)
+	g.eng.AfterCall(0, barrierReleaseEvent, g, 0)
 }
 
 // relaunch re-arms a finished kernel: every warp becomes active again
@@ -293,10 +325,7 @@ func (g *GPU) relaunch() {
 	g.batching = false
 	g.parked = g.parked[:0]
 	g.releasing = g.releasing[:0]
-	for i := range g.warps {
-		g.active++
-		g.eng.AfterCall(0, warpStepEvent, &g.warps[i], 0)
-	}
+	g.start()
 }
 
 //gmt:hotpath
@@ -318,10 +347,7 @@ func (w *warp) step() {
 		}
 		a, ok := g.stream.Next()
 		if !ok {
-			g.active--
-			if g.active == 0 {
-				g.finished = true
-			}
+			g.retire(g.eng.Now())
 			g.checkBarrier()
 			return
 		}
@@ -363,7 +389,7 @@ func (w *warp) step() {
 				continue
 			}
 		}
-		g.eng.AfterCall(g.cfg.ComputePerAccess, warpStepEvent, w, 0)
+		w.continueStep(g.drained())
 		return
 	}
 }
@@ -397,9 +423,11 @@ func (w *warp) stepBatch() bool {
 	budget := len(pend)
 	capped := false
 	if at, ok := g.eng.Peek(); ok {
-		b := int64(at-t0+cpa-1) / int64(cpa)
-		if b < 1 {
-			b = 1
+		// The next event is usually within one quantum (many warps
+		// interleave), which needs no division.
+		b := int64(1)
+		if d := at - t0; d > cpa {
+			b = int64(d+cpa-1) / int64(cpa)
 		}
 		if b <= int64(len(pend)) {
 			budget, capped = int(b), true
@@ -419,7 +447,7 @@ func (w *warp) stepBatch() bool {
 		if j > 1 {
 			g.eng.AdvanceTo(t0 + cpa*sim.Time(j-1))
 		}
-		g.eng.AfterCall(cpa, warpStepEvent, w, 0)
+		w.continueStep(j == len(pend))
 		return true
 	}
 	// Streak broken by the access after the run (miss, barrier, or
@@ -436,7 +464,56 @@ func (w *warp) accessDone() {
 	g := w.g
 	g.stall += g.eng.Now() - w.issued
 	g.compute += g.cfg.ComputePerAccess
-	g.eng.AfterCall(g.cfg.ComputePerAccess, warpStepEvent, w, 0)
+	w.continueStep(g.drained())
+}
+
+// continueStep schedules the warp's next step one compute quantum from
+// now, on the engine's lane for that delay. When the stream is drained
+// and no barrier is pending, that step could only retire the warp:
+// nothing can refill a drained stream or raise a barrier before the
+// kernel ends, so the step would find the stream empty, and a retirement
+// with no barrier pending touches no state another event can observe
+// before the kernel's end. The warp then retires now instead, recording
+// when the step would have run.
+//
+//gmt:hotpath
+func (w *warp) continueStep(drained bool) {
+	g := w.g
+	if drained && !g.barPending {
+		g.retire(g.eng.Now() + g.cfg.ComputePerAccess)
+		return
+	}
+	g.eng.AfterCallFIFO(g.cfg.ComputePerAccess, warpStepEvent, w, 0)
+}
+
+// drained reports whether the stream is known to hold nothing more: only
+// a BatchStream can show its drained tail without consuming it.
+//
+//gmt:hotpath
+func (g *GPU) drained() bool {
+	return g.bstream != nil && len(g.bstream.Pending()) == 0
+}
+
+// retire removes one warp from the kernel; end is when its final step
+// runs or, for an early retirement, would have run. The kernel finishes
+// when its last warp retires, at the latest such end: immediately when
+// that is now, else through one kernelEndEvent at that time, so the
+// engine's clock ends where the elided steps would have left it.
+//
+//gmt:hotpath
+func (g *GPU) retire(end sim.Time) {
+	g.active--
+	if end > g.endAt {
+		g.endAt = end
+	}
+	if g.active > 0 {
+		return
+	}
+	if g.endAt > g.eng.Now() {
+		g.eng.AtCall(g.endAt, kernelEndEvent, g, 0)
+	} else {
+		g.finished = true
+	}
 }
 
 // checkBarrier releases parked warps once every still-active warp has

@@ -7,8 +7,9 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // RMAT partition probabilities used by GAP-Kron.
@@ -69,11 +70,14 @@ type CSR struct {
 func BuildCSR(n int32, edges []Edge) *CSR {
 	sorted := make([]Edge, len(edges))
 	copy(sorted, edges)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Src != sorted[j].Src {
-			return sorted[i].Src < sorted[j].Src
+	// slices.SortFunc runs the same pdqsort as sort.Slice with the same
+	// comparator, so the permutation — ties between duplicate edges
+	// included — is unchanged; it only skips the reflection-based swaps.
+	slices.SortFunc(sorted, func(a, b Edge) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return sorted[i].Dst < sorted[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
 	c := &CSR{
 		N:       n,

@@ -305,6 +305,23 @@ func New(eng *sim.Engine, cfg Config) *Disk {
 // Config reports the drive configuration.
 func (d *Disk) Config() Config { return d.cfg }
 
+// Grants reports the grants the drive's queue-pair and channel servers
+// have made since construction (or the last Reset). Like Transfers it
+// is a deterministic count of device work, pinned by event-budget tests.
+func (d *Disk) Grants() int64 {
+	n := d.chans.Grants()
+	for _, q := range d.queues {
+		n += q.Grants()
+	}
+	return n
+}
+
+// Transfers reports the transfers through the drive's media pipes and
+// its PCIe link since construction (or the last Reset).
+func (d *Disk) Transfers() int64 {
+	return d.read.Transfers() + d.write.Transfers() + d.link.Up.Transfers() + d.link.Down.Transfers()
+}
+
 // Reset returns an idle drive to its freshly constructed state,
 // retaining the request pool (requests hold only the disk pointer, which
 // is stable) so a recycled drive issues commands with zero allocations

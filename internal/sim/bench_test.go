@@ -101,6 +101,29 @@ func BenchmarkScheduleDispatchSparse(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkScheduleDispatchLane measures one schedule+dispatch cycle on
+// the constant-delay lane with a warp-like population: 128 events
+// pending on the lane and a sparse wheel set beside it, each dispatch
+// scheduling its successor one quantum on. Steady state is 0 allocs/op.
+func BenchmarkScheduleDispatchLane(b *testing.B) {
+	e := sparseEngine()
+	for i := 0; i < 128; i++ {
+		e.AfterCallFIFO(200, nopCall, nil, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%16 == 0 {
+			e.AfterCall(sparseDeltas[i%len(sparseDeltas)], nopCall, nil, 0)
+		} else {
+			e.AfterCallFIFO(200, nopCall, nil, 0)
+		}
+		e.step()
+	}
+	b.StopTimer()
+	e.Run()
+}
+
 // allocGatesEnabled reports whether allocation-exactness assertions are
 // meaningful for this build: race instrumentation and gmtinvariants
 // assertions both allocate on paths the default build keeps clean.
@@ -129,6 +152,19 @@ func TestScheduleDispatchAllocGate(t *testing.T) {
 	})
 	if typed != 0 {
 		t.Errorf("typed schedule+dispatch = %.1f allocs/op, want 0", typed)
+	}
+
+	// A lane schedule and dispatch, tied with and interleaved among
+	// wheel events, allocates nothing once the arena is warm.
+	lane := testing.AllocsPerRun(200, func() {
+		e.AfterCallFIFO(200, nopCall, e, 1)
+		e.AfterCall(200, nopCall, nil, 0)
+		e.AfterCallFIFO(0, nopCall, nil, 2)
+		e.AfterCallFIFO(200, nopCall, nil, 3)
+		e.Run()
+	})
+	if lane != 0 {
+		t.Errorf("lane schedule+dispatch = %.1f allocs/op, want 0", lane)
 	}
 
 	se := sparseEngine()
@@ -173,5 +209,31 @@ func TestPipeTransferAllocGate(t *testing.T) {
 	})
 	if n != 0 {
 		t.Errorf("pipe transfer = %.1f allocs/op, want 0", n)
+	}
+}
+
+// TestFreshEngineLaneAllocGate: a fresh engine's first lanes live in
+// the engine itself, so a single run that schedules onto one or two
+// lanes allocates no more than one that stays on the wheel.
+func TestFreshEngineLaneAllocGate(t *testing.T) {
+	if !allocGatesEnabled() {
+		t.Skip("allocation gates run on the default build only")
+	}
+	run := func(lanes bool) float64 {
+		return testing.AllocsPerRun(100, func() {
+			e := NewEngine()
+			e.AfterCall(1, nopCall, nil, 0)
+			if lanes {
+				e.AfterCallFIFO(200, nopCall, nil, 0)
+				e.AfterCallFIFO(100, nopCall, nil, 0)
+			} else {
+				e.AfterCall(200, nopCall, nil, 0)
+				e.AfterCall(100, nopCall, nil, 0)
+			}
+			e.Run()
+		})
+	}
+	if wheel, lanes := run(false), run(true); lanes > wheel {
+		t.Errorf("fresh engine: %.1f allocs/op with two lanes, %.1f on the wheel alone", lanes, wheel)
 	}
 }

@@ -10,15 +10,17 @@
 //
 // # Scheduling paths
 //
-// Two scheduling APIs coexist. At/After accept a plain func() and remain
+// Three scheduling APIs coexist. At/After accept a plain func() and remain
 // the general-purpose path; the closure they are handed is the caller's
 // only allocation. AtCall/AfterCall accept an EventFunc — a top-level
 // function plus a context pointer and an int64 argument — and allocate
 // nothing at all in steady state, which is what the per-access hot paths
-// (warp stepping, pipe completions) use. Internally both paths share one
-// representation: free-listed event records threaded through a
-// hierarchical timing wheel, so no interface boxing or per-event
-// allocation happens inside the engine on either path.
+// (pipe completions, device stages) use. AfterCallFIFO is the typed path
+// for one delay repeated at volume — the GPU's per-warp compute quantum:
+// it appends to a constant-delay FIFO lane instead of the wheel.
+// Internally all paths share one representation, free-listed event
+// records threaded through the timing wheel or a lane, so no interface
+// boxing or per-event allocation happens inside the engine on any path.
 //
 // # Queue discipline
 //
@@ -39,10 +41,22 @@
 // determinism contract"). The differential fuzz test in
 // engine_diff_test.go pins the equivalence, and -tags gmtinvariants
 // builds assert per dispatch that (time, sequence) strictly increases.
+//
+// Events scheduled through AfterCallFIFO skip the wheel. Each distinct
+// delay d has a lane: a FIFO list of records in schedule order. Every
+// event on it is due at its schedule time plus d, and the clock never
+// runs backwards, so the lane is already sorted by (time, sequence) and
+// its head is its minimum. Dispatch merges the lane heads with the
+// wheel's minimum by (time, sequence); on equal times the lane head's
+// sequence is compared with the wheel's earliest record at that instant.
+// A lane dispatch leaves the wheel's cursor and cached minimum alone.
+// The same differential test drives a share of its schedules through
+// lanes, so the merge is pinned against the reference heap too.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"github.com/gmtsim/gmt/internal/invariant"
@@ -129,12 +143,9 @@ type Engine struct {
 	// placement hashes an event's time against cur, so slots behind the
 	// cursor are always empty and the lowest occupied bit is the earliest.
 	cur Time
-	// head/tail index each slot's FIFO record list; occ is the per-level
-	// occupancy word and levels has bit k set while occ[k] != 0 (the
-	// head/tail values are meaningful only while the slot's occ bit is
-	// set, which is what lets the zero value work).
-	head   [wheelLevels][wheelSlots]int32
-	tail   [wheelLevels][wheelSlots]int32
+	// occ is the per-level occupancy word and levels has bit k set while
+	// occ[k] != 0; head/tail (at the end of the struct, so the per-event
+	// scalars share cache lines) index each slot's FIFO record list.
 	occ    [wheelLevels]uint64
 	levels uint64
 
@@ -144,12 +155,21 @@ type Engine struct {
 	overflow    []int32
 	overflowMin Time
 
+	// lanes are the constant-delay FIFO queues of AfterCallFIFO, one per
+	// distinct delay; see lane. The first ones live in laneBuf, so a
+	// fresh engine's lanes allocate nothing (an Engine is never copied).
+	// pending counts every scheduled event, laned the share of it
+	// waiting in lanes rather than on the wheel.
+	lanes   []lane
+	laneBuf [2]lane
 	pending int
+	laned   int
 
-	// peekAt caches the earliest pending time (valid while peekOK).
-	// Schedules keep it fresh in O(1); pops invalidate it, and the next
-	// Peek recomputes from the bitmaps. Across a run each dispatch pays
-	// for at most one recompute, so Peek is O(1) amortized.
+	// peekAt caches the wheel's earliest pending time (valid while
+	// peekOK). Schedules keep it fresh in O(1); wheel pops invalidate it,
+	// and the next use recomputes from the bitmaps. Lane dispatches leave
+	// the wheel untouched and keep it valid. Across a run each wheel
+	// dispatch pays for at most one recompute, so Peek is O(1) amortized.
 	peekAt Time
 	peekOK bool
 
@@ -166,6 +186,27 @@ type Engine struct {
 	// re-growing the arena.
 	acquired int64
 	released int64
+
+	// The head/tail values are meaningful only while the slot's occ bit
+	// is set, which is what lets the zero value work.
+	head [wheelLevels][wheelSlots]int32
+	tail [wheelLevels][wheelSlots]int32
+}
+
+// lane is the FIFO of events scheduled through AfterCallFIFO with one
+// fixed delay d. Each was due at its schedule time plus d, and the clock
+// never runs backwards, so appending in schedule order keeps the lane
+// sorted by (time, sequence): its head is its minimum, and dispatch only
+// ever compares lane heads with the wheel's minimum. The records live in
+// the engine's arena like wheel records and are threaded through next,
+// from head to tail (head is noEvent while the lane is empty). at and
+// seq copy the head record's, so comparing a lane with the wheel or
+// another lane reads only the lane.
+type lane struct {
+	d          Time
+	head, tail int32
+	at         Time
+	seq        int64
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -176,7 +217,9 @@ func NewEngine() *Engine { return &Engine{} }
 // already-allocated records instead of re-growing the pool. It panics if
 // events are pending: like Snapshot, a reset is only defined at
 // quiescence, where the wheel and the overflow ladder are structurally
-// empty and the clock plus counters are the entire state.
+// empty and the clock plus counters are the entire state. Pending
+// counts lane events too, so an occupied lane panics like the wheel.
+// The lanes themselves are kept, empty, for the next run's delays.
 //
 // The free list keeps whatever pop order the previous run left it in.
 // That is behavior-neutral: record indices only name storage; dispatch
@@ -192,6 +235,10 @@ func (e *Engine) Reset() {
 			"sim: Reset found occupied wheel slots (levels %#x) with nothing pending", e.levels)
 		invariant.Assert(len(e.free) == len(e.recs),
 			"sim: Reset found %d free of %d records with nothing pending", len(e.free), len(e.recs))
+		for i := range e.lanes {
+			invariant.Assert(e.lanes[i].head == noEvent,
+				"sim: Reset found lane %d (delay %d) occupied with nothing pending", i, e.lanes[i].d)
+		}
 	}
 	e.now, e.cur = 0, 0
 	e.seq, e.lastSeq, e.steps = 0, 0, 0
@@ -208,9 +255,9 @@ func (e *Engine) Reset() {
 }
 
 // Snapshot is the compact state of a quiescent engine: with no events
-// pending, the wheel, the overflow ladder, and the record arena are all
-// structurally empty, so the clock and the determinism counters are the
-// entire state. Runtime forking (core.Runtime.Fork) captures one after
+// pending, the wheel, the overflow ladder, the lanes, and the record
+// arena are all structurally empty, so the clock and the determinism
+// counters are the entire state. Runtime forking (core.Runtime.Fork) captures one after
 // a warm-up prefix and hydrates any number of child engines from it.
 type Snapshot struct {
 	now   Time
@@ -262,11 +309,34 @@ func (e *Engine) Peek() (Time, bool) {
 	if e.pending == 0 {
 		return 0, false
 	}
-	if !e.peekOK {
-		e.peekAt = e.findMin()
-		e.peekOK = true
+	at := Time(math.MaxInt64)
+	if e.pending > e.laned {
+		at = e.wheelMin()
 	}
-	return e.peekAt, true
+	if e.laned > 0 {
+		if l := e.firstLane(); l.at < at {
+			at = l.at
+		}
+	}
+	return at, true
+}
+
+// wheelMin reports the wheel's earliest pending time, from the cache
+// when it is valid. The wheel must hold at least one event.
+func (e *Engine) wheelMin() Time {
+	if !e.peekOK {
+		e.refreshMin()
+	}
+	return e.peekAt
+}
+
+// refreshMin recomputes the cached wheel minimum. It stays out of line
+// so that wheelMin's cached path inlines into dispatch and Peek.
+//
+//go:noinline
+func (e *Engine) refreshMin() {
+	e.peekAt = e.findMin()
+	e.peekOK = true
 }
 
 // AdvanceTo moves the clock forward to t without dispatching anything.
@@ -314,6 +384,89 @@ func (e *Engine) AfterCall(d Time, call EventFunc, ctx any, arg int64) {
 	e.schedule(e.now+d, call, ctx, arg, nil)
 }
 
+// AfterCallFIFO schedules call(ctx, arg) d nanoseconds from now, like
+// AfterCall, but onto the constant-delay lane for d instead of the
+// timing wheel. Dispatch order is the same (time, sequence) order either
+// way; the lane only skips the wheel's placement and cascades, which
+// events whose order is known at schedule time do not need. Use it for
+// high-volume repeating delays — the GPU's per-warp compute quantum.
+// Negative d panics.
+//
+//gmt:hotpath
+func (e *Engine) AfterCallFIFO(d Time, call EventFunc, ctx any, arg int64) {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative lane delay %d", d))
+	}
+	l := e.laneFor(d)
+	e.seq++
+	id := e.acquireRecord()
+	r := &e.recs[id]
+	r.at = e.now + d
+	r.seq = e.seq
+	r.next = noEvent
+	r.call = call
+	r.ctx = ctx
+	r.arg = arg
+	r.fn = nil
+	if l.head == noEvent {
+		l.head, l.at, l.seq = id, r.at, r.seq
+	} else {
+		e.recs[l.tail].next = id
+	}
+	l.tail = id
+	e.pending++
+	e.laned++
+}
+
+// laneFor returns the lane of delay d. Delays are unique across lanes:
+// a delay without a lane takes over the first empty lane, and only when
+// every lane is occupied does the engine grow a new one, so the scan is
+// bounded by the number of distinct delays pending at once.
+func (e *Engine) laneFor(d Time) *lane {
+	free := -1
+	for i := range e.lanes {
+		if e.lanes[i].d == d {
+			return &e.lanes[i]
+		}
+		if free < 0 && e.lanes[i].head == noEvent {
+			free = i
+		}
+	}
+	if free < 0 {
+		if e.lanes == nil {
+			e.lanes = e.laneBuf[:0]
+		}
+		free = len(e.lanes)
+		e.lanes = append(e.lanes, lane{head: noEvent, tail: noEvent})
+	}
+	e.lanes[free].d = d
+	return &e.lanes[free]
+}
+
+// firstLane returns the lane whose head dispatches first by (time,
+// sequence). At least one lane must be occupied.
+func (e *Engine) firstLane() *lane {
+	if len(e.lanes) == 1 {
+		return &e.lanes[0]
+	}
+	return e.scanLanes()
+}
+
+// scanLanes is firstLane over several lanes.
+func (e *Engine) scanLanes() *lane {
+	var first *lane
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.head == noEvent {
+			continue
+		}
+		if first == nil || l.at < first.at || l.at == first.at && l.seq < first.seq {
+			first = l
+		}
+	}
+	return first
+}
+
 func (e *Engine) schedule(t Time, call EventFunc, ctx any, arg int64, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
@@ -329,9 +482,9 @@ func (e *Engine) schedule(t Time, call EventFunc, ctx any, arg int64, fn func())
 	r.fn = fn
 	e.place(id, t)
 	e.pending++
-	// Keep the cached minimum exact: a first event defines it, an
+	// Keep the cached wheel minimum exact: a first event defines it, an
 	// earlier event lowers it, a later one cannot disturb it.
-	if e.pending == 1 || (e.peekOK && t < e.peekAt) {
+	if e.pending-e.laned == 1 || (e.peekOK && t < e.peekAt) {
 		e.peekAt = t
 		e.peekOK = true
 	}
@@ -385,6 +538,48 @@ func (e *Engine) findMin() Time {
 	return min
 }
 
+// wheelSeq reports the sequence number of the wheel's earliest record,
+// given its time t (the wheel minimum). Equal-time records share a slot
+// — or, beyond the wheel's span, the overflow ladder — in schedule
+// order, so the first record due at t is the one.
+func (e *Engine) wheelSeq(t Time) int64 {
+	if e.levels == 0 {
+		for _, id := range e.overflow {
+			if e.recs[id].at == t {
+				return e.recs[id].seq
+			}
+		}
+	}
+	lvl := bits.TrailingZeros64(e.levels)
+	id := e.head[lvl][bits.TrailingZeros64(e.occ[lvl])]
+	for e.recs[id].at != t {
+		id = e.recs[id].next
+	}
+	return e.recs[id].seq
+}
+
+// takeLane removes and returns the first lane head when it is the
+// earliest pending record by (time, sequence), and returns noEvent when
+// the wheel holds an earlier event or a tied one scheduled before it.
+// Taking from a lane leaves the wheel, its cursor and its cached minimum
+// untouched. At least one lane must be occupied.
+func (e *Engine) takeLane() int32 {
+	l := e.firstLane()
+	if e.pending > e.laned {
+		if at := e.wheelMin(); at < l.at || at == l.at && e.wheelSeq(at) < l.seq {
+			return noEvent
+		}
+	}
+	id := l.head
+	if l.head = e.recs[id].next; l.head != noEvent {
+		h := &e.recs[l.head]
+		l.at, l.seq = h.at, h.seq
+	}
+	e.pending--
+	e.laned--
+	return id
+}
+
 // pop removes and returns the earliest pending record, advancing the
 // cursor to its time. The lowest occupied slot of the lowest non-empty
 // level is dispatched from directly when it is a level-0 slot (an exact
@@ -396,7 +591,8 @@ func (e *Engine) findMin() Time {
 // records cascades instead: the cursor advances to the slot's window
 // start and the list is re-placed in order, which keeps the per-instant
 // FIFO intact (each record moves down at most wheelLevels-1 times). A
-// fully drained wheel rebases onto the overflow ladder.
+// fully drained wheel rebases onto the overflow ladder. The wheel must
+// hold at least one event.
 func (e *Engine) pop() int32 {
 	for {
 		if e.levels == 0 {
@@ -521,12 +717,20 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
+// step dispatches the earliest pending event by (time, sequence), from
+// a lane (see takeLane) or the wheel.
 func (e *Engine) step() {
 	var peeked Time
 	if invariant.Enabled {
 		peeked, _ = e.Peek()
 	}
-	id := e.pop()
+	id := noEvent
+	if e.laned > 0 {
+		id = e.takeLane()
+	}
+	if id == noEvent {
+		id = e.pop()
+	}
 	r := &e.recs[id]
 	invariant.Assert(r.at >= e.now,
 		"sim: clock would run backwards: dispatching event at %d with clock at %d", r.at, e.now)

@@ -49,6 +49,12 @@ func measuredDelta(rng *rand.Rand) Time {
 	return Time(1)<<k + Time(rng.Int63n(1<<k))
 }
 
+// laneDelays are the fixed AfterCallFIFO delays diffRun draws from: a
+// zero delay (due at the current instant), level-0 and upper-level
+// spans, the ComputePerAccess default, and one beyond the wheel's span,
+// where lane heads meet the overflow ladder.
+var laneDelays = [...]Time{0, 1, 37, 200, 200, 1<<(2*wheelBits) + 3, 1<<wheelSpan + 5}
+
 // diffRun replays one randomized schedule derived from data through both
 // queues and reports the first divergence. The op stream mixes near and
 // far deltas (level-0 hits, upper wheel levels, the overflow ladder),
@@ -57,6 +63,12 @@ func measuredDelta(rng *rand.Rand) Time {
 // held at or below sparsePending events, every event
 // rescheduling a successor, with measuredDelta deltas — the traffic that
 // mostly takes the lone-event dispatch path.
+//
+// (data[0]>>3)%3 sets the share of schedules — roots and reschedules
+// from callbacks alike — that go through AfterCallFIFO lanes instead of
+// the wheel: none, a third, or two thirds. Lane delays come from
+// laneDelays or are chosen to land exactly on a pending event's time,
+// so lane heads tie with wheel events and with other lanes' heads.
 func diffRun(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -68,6 +80,7 @@ func diffRun(t *testing.T, data []byte) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	sparse := data[0]%8 == 5
+	laneShare := int(data[0]>>3) % 3
 
 	e := NewEngine()
 	ref := &refHeap{}
@@ -96,12 +109,34 @@ func diffRun(t *testing.T, data []byte) {
 			return Time(rng.Intn(64)) * 200 // ComputePerAccess-like grid
 		}
 	}
+	// laneDelay picks a lane delay: a fixed one, or the distance to a
+	// pending event so the lane event ties with it. (Inside a callback
+	// the heap may still hold events the engine already dispatched,
+	// which lie behind the clock.)
+	laneDelay := func() Time {
+		if rng.Intn(3) == 0 && ref.Len() > 0 {
+			if d := (*ref)[rng.Intn(ref.Len())].at - e.Now(); d >= 0 {
+				return d
+			}
+		}
+		return laneDelays[rng.Intn(len(laneDelays))]
+	}
+	// put schedules event id on both queues, through a lane or the wheel.
+	put := func(id int64, fire EventFunc) {
+		refSeq++
+		if laneShare > rng.Intn(3) {
+			d := laneDelay()
+			heap.Push(ref, refEvent{at: e.Now() + d, seq: refSeq, id: id})
+			e.AfterCallFIFO(d, fire, nil, id)
+			return
+		}
+		at := e.Now() + delta()
+		heap.Push(ref, refEvent{at: at, seq: refSeq, id: id})
+		e.AtCall(at, fire, nil, id)
+	}
 	schedule := func(chain int) {
 		id := nextID
 		nextID++
-		at := e.Now() + delta()
-		refSeq++
-		heap.Push(ref, refEvent{at: at, seq: refSeq, id: id})
 		var fire EventFunc
 		fire = func(_ any, myID int64) {
 			got = append(got, myID)
@@ -109,13 +144,10 @@ func diffRun(t *testing.T, data []byte) {
 				chain--
 				child := nextID
 				nextID++
-				cat := e.Now() + delta()
-				refSeq++
-				heap.Push(ref, refEvent{at: cat, seq: refSeq, id: child})
-				e.AtCall(cat, fire, nil, child)
+				put(child, fire)
 			}
 		}
-		e.AtCall(at, fire, nil, id)
+		put(id, fire)
 	}
 
 	nops := int(data[0])%48 + 8
@@ -190,9 +222,10 @@ func diffRun(t *testing.T, data []byte) {
 // TestEngineDifferential is the deterministic slice of the fuzz
 // property: a fixed corpus of seeds, always run, so the equivalence is
 // checked on every `go test` (and under -tags gmtinvariants in CI), not
-// only during fuzzing. Every eighth seed runs the sparse regime.
+// only during fuzzing. Every eighth seed runs the sparse regime, and the
+// seeds cycle through every lane share.
 func TestEngineDifferential(t *testing.T) {
-	for seed := byte(0); seed < 80; seed++ {
+	for seed := byte(0); seed < 120; seed++ {
 		diffRun(t, []byte{seed, byte(seed * 7), byte(255 - seed)})
 	}
 }
@@ -201,8 +234,9 @@ func TestEngineDifferential(t *testing.T) {
 // with identical randomized schedules and requires identical dispatch
 // sequences. CI runs a short -fuzz pass, untagged and under -tags
 // gmtinvariants; the seed corpus below covers each delta regime
-// (level-0, upper levels, overflow, equal-time bursts) and the sparse
-// measured-mix regime (first byte ≡ 5 mod 8).
+// (level-0, upper levels, overflow, equal-time bursts), the sparse
+// measured-mix regime (first byte ≡ 5 mod 8), and each lane share
+// ((first byte >> 3) mod 3).
 func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3})
@@ -213,6 +247,10 @@ func FuzzEngineDifferential(f *testing.F) {
 	f.Add([]byte{13, 99, 7})
 	f.Add([]byte{45, 1, 2, 3, 4})
 	f.Add([]byte{253, 17, 0, 255})
+	f.Add([]byte{8, 3, 1})
+	f.Add([]byte{16, 200, 9})
+	f.Add([]byte{21, 4, 4, 4})
+	f.Add([]byte{13 + 8, 77})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		diffRun(t, data)
 	})

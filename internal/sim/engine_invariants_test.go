@@ -35,3 +35,37 @@ func TestFIFOSeqAssertFires(t *testing.T) {
 	}()
 	e.Run()
 }
+
+// TestLaneFIFOSeqAssertFires pins the dispatch-order check on the lane
+// path: with the seqs of two same-instant lane events swapped, the
+// second lane dispatch carries an earlier seq than the first, which step
+// must refuse under -tags gmtinvariants exactly as for wheel events.
+func TestLaneFIFOSeqAssertFires(t *testing.T) {
+	e := NewEngine()
+	e.AfterCallFIFO(5, nopCall, nil, 0)
+	e.AfterCallFIFO(5, nopCall, nil, 0)
+	e.recs[0].seq, e.recs[1].seq = e.recs[1].seq, e.recs[0].seq
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-order (at, seq) lane dispatch did not panic under gmtinvariants")
+		}
+	}()
+	e.Run()
+}
+
+// TestLaneClockAssertFires: a lane event whose time lies behind the
+// clock — impossible unless the lane's sort order broke — must panic on
+// dispatch under -tags gmtinvariants.
+func TestLaneClockAssertFires(t *testing.T) {
+	e := NewEngine()
+	e.AfterCallFIFO(10, nopCall, nil, 0)
+	e.AfterCallFIFO(10, nopCall, nil, 0)
+	e.step()
+	e.recs[1].at = 3
+	defer func() {
+		if recover() == nil {
+			t.Fatal("lane dispatch behind the clock did not panic under gmtinvariants")
+		}
+	}()
+	e.step()
+}

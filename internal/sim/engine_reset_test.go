@@ -82,3 +82,54 @@ func TestEngineResetPendingPanics(t *testing.T) {
 	}()
 	e.Reset()
 }
+
+// TestEngineQuiescenceCountsLanes: an event waiting in an AfterCallFIFO
+// lane is pending like a wheel event, so Reset and Snapshot refuse it,
+// and a drained engine resets and replays its lanes cleanly.
+func TestEngineQuiescenceCountsLanes(t *testing.T) {
+	for _, op := range []string{"Reset", "Snapshot"} {
+		t.Run(op, func(t *testing.T) {
+			e := NewEngine()
+			e.AfterCallFIFO(200, nopCall, nil, 0)
+			if e.Pending() != 1 {
+				t.Fatalf("Pending = %d with one lane event, want 1", e.Pending())
+			}
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a lane event pending did not panic", op)
+				}
+			}()
+			if op == "Reset" {
+				e.Reset()
+			} else {
+				e.Snapshot()
+			}
+		})
+	}
+
+	e := NewEngine()
+	var log []Time
+	var fire EventFunc
+	fire = func(_ any, n int64) {
+		log = append(log, e.Now())
+		if n > 0 {
+			e.AfterCallFIFO(200, fire, nil, n-1)
+			e.AfterCall(150, nopCall, nil, 0)
+		}
+	}
+	e.AfterCallFIFO(0, fire, nil, 5)
+	e.Run()
+	want, steps := append([]Time(nil), log...), e.Steps()
+	e.Reset()
+	log = log[:0]
+	e.AfterCallFIFO(0, fire, nil, 5)
+	e.Run()
+	if e.Steps() != steps || len(log) != len(want) {
+		t.Fatalf("replay after Reset: %d steps, %d fires; want %d, %d", e.Steps(), len(log), steps, len(want))
+	}
+	for i := range want {
+		if log[i] != want[i] {
+			t.Fatalf("replay after Reset diverges at fire %d: %d, want %d", i, log[i], want[i])
+		}
+	}
+}

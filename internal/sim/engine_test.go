@@ -458,6 +458,18 @@ func TestEnginePoolConservation(t *testing.T) {
 	if e.acquired != 200 {
 		t.Fatalf("acquired = %d, want 200", e.acquired)
 	}
+
+	// Lane events acquire and release records like wheel events.
+	for i := 0; i < 50; i++ {
+		e.AfterCallFIFO(Time(i%3), CallFunc, func() {
+			e.AfterCallFIFO(7, CallFunc, (func())(nil), 0)
+		}, 0)
+	}
+	e.Run()
+	if e.acquired != 300 || e.acquired != e.released || len(e.free) != len(e.recs) {
+		t.Fatalf("lane pool: %d acquired, %d released, %d free of %d records; want 300 balanced",
+			e.acquired, e.released, len(e.free), len(e.recs))
+	}
 }
 
 func TestEnginePeek(t *testing.T) {

@@ -252,6 +252,10 @@ func NewEngine(eng *sim.Engine, link *pcie.Link, cfg Config) *Engine {
 // Config reports the engine calibration.
 func (e *Engine) Config() Config { return e.cfg }
 
+// Grants reports the grants the engine's DMA server has made since
+// construction (or the last Reset).
+func (e *Engine) Grants() int64 { return e.dma.Grants() }
+
 // Outstanding reports in-flight Tier-1↔Tier-2 page transfers.
 func (e *Engine) Outstanding() int { return e.outstanding }
 
